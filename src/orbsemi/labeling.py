@@ -383,13 +383,15 @@ class Equivalence:
         return frozenset(self.blocks())
 
 
-def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0):
+def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0,
+             window=(1, 2, 3)):
     """Collapse ground atoms whose two-column label sits below the diagonal.
 
     Returns the equivalence and the induced labeling over the block
     representatives.  Raises QuotientError if the computed relation is not an
     equivalence or violates the exchange property (both only possible when
-    alpha was not a quasi-labeling).
+    alpha was not a quasi-labeling).  The exchange spot checks draw tuples
+    over the variables in ``window``.
     """
     inst = alpha.inst
     atoms = sorted(alpha.ground, key=atom_key)
@@ -411,11 +413,13 @@ def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0):
 
     rng = random.Random(seed)
     reps = sorted(eq.representatives(), key=atom_key)
-    window = [1, 2, 3]
+    members = {}  # class root -> its atoms, in atom order
+    for a in atoms:
+        members.setdefault(eq.find(a), []).append(a)
     for _ in range(spot_checks):
         X = [x for x in window if rng.random() < 0.7]
         s = NTuple.of({x: rng.choice(atoms) for x in X})
-        t = NTuple.of({x: rng.choice([a for a in atoms if eq.same(a, s(x))]) for x in X})
+        t = NTuple.of({x: rng.choice(members[eq.find(s(x))]) for x in X})
         if alpha(s) != alpha(t):
             raise QuotientError(
                 f"exchange property violated on {s} vs {t}; "

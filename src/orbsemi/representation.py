@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 from .labeling import Labeling, check_embedding, check_labeling, extent, quotient
 from .orbital import CheckReport, OrbitalInstance, SampleConfig
@@ -20,24 +20,53 @@ from .transforms import FPTransform, partial_identity, schema_is_all
 from .tuples import NTuple, atom_key, merge
 
 
-@dataclass(frozen=True)
 class GroundTerm:
-    """A term v t1...tn whose head is an instance element of matching arity."""
+    """A term v t1...tn whose head is an instance element of matching arity.
 
-    head: object
-    children: tuple = ()
+    Immutable.  The hash (that of ``(head, children)``) and the depth are
+    computed once at construction and the sort key once on first use, so
+    none of them walks the subtree again.
+    """
 
-    @property
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(c.depth for c in self.children)
+    __slots__ = ("head", "children", "depth", "_hash", "_sort_key")
+
+    def __init__(self, head, children: tuple = ()):
+        init = object.__setattr__
+        init(self, "head", head)
+        init(self, "children", children)
+        init(self, "depth", 1 + max((c.depth for c in children), default=0))
+        init(self, "_hash", hash((head, children)))
+        init(self, "_sort_key", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GroundTerm, (self.head, self.children)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GroundTerm:
+            return NotImplemented
+        return (self._hash == other._hash and self.head == other.head
+                and self.children == other.children)
 
     def sort_key(self):
         # depth-first key: any total order extending the subterm order works,
         # determinism is what matters
-        return (self.depth, _head_key(self.head),
-                tuple(c.sort_key() for c in self.children))
+        key = self._sort_key
+        if key is None:
+            key = (self.depth, _head_key(self.head),
+                   tuple(c.sort_key() for c in self.children))
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
     def __repr__(self):
         if not self.children:
@@ -272,14 +301,8 @@ class RepresentationBuilder:
 
 
 def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) -> HSet:
-    caps = caps or RepCaps()
-    caps.depth = depth
+    caps = RepCaps(depth=depth) if caps is None else replace(caps, depth=depth)
     return RepresentationBuilder(inst, caps).build_H()
-
-
-def induced_quasi_labeling(H: HSet, inst: OrbitalInstance) -> Labeling:
-    builder = RepresentationBuilder(inst)
-    return builder.labeling(H)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +604,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     report.checks.extend(check_labeling(alpha, "quasi", cfg,
                                         tuple_atoms=frag_terms))
 
-    eq, alpha_bar = quotient(alpha, seed=cfg.seed)
+    eq, alpha_bar = quotient(alpha, seed=cfg.seed, window=sorted(cfg.window))
     report.quotient_classes = len(alpha_bar.ground)
     # class roots are minimal in the depth-first term order, so fragment-term
     # classes are represented by fragment-depth terms
@@ -598,7 +621,8 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
 
     try:
         pool = inst.element_pool(cfg, rng)
-        hit = sum(1 for u in pool if u in set(reachable))
+        reach = set(reachable)
+        hit = sum(1 for u in pool if u in reach)
         report.coverage = hit / len(pool) if pool else 0.0
     except NotImplementedError:
         report.coverage = 0.0

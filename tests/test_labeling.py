@@ -102,6 +102,25 @@ def test_quotient_merges_equal_behavior(alg):
     assert len(alpha_bar.ground) == 2
 
 
+def test_quotient_spot_checks_use_the_callers_window(alg):
+    # b ~ c, and labels collapse c to b except on tuples that bind x4, so only
+    # exchange spot checks over a window containing x4 can see the violation
+    G3 = frozenset({"a", "b", "c"})
+    alg3 = TableAlgebra(G3)
+
+    def label(t):
+        if 4 in t.df:
+            return Table.from_rows(G3, {t})
+        collapsed = NTuple.of({v: ("b" if a == "c" else a) for v, a in t.pairs})
+        return Table.from_rows(G3, {collapsed})
+
+    alpha = Labeling(G3, alg3, label)
+    eq, _ = quotient(alpha)
+    assert eq.same("b", "c")
+    with pytest.raises(QuotientError):
+        quotient(alpha, window=(1, 2, 3, 4))
+
+
 def test_quotient_rejects_non_equivalence(alg):
     witness = NTuple.of({1: "a", 2: "b"})
 

@@ -1,4 +1,8 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
+from hypothesis import given, strategies as st
 
 from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (
@@ -141,6 +145,13 @@ def test_stratum_truncation_reported(alg2):
     assert len(H.terms) == 10
 
 
+def test_build_H_leaves_caller_caps_alone(alg2):
+    caps = RepCaps(max_terms_per_stratum=10)
+    H = build_H(alg2, depth=1, caps=caps)
+    assert len(H.strata) == 2
+    assert caps == RepCaps(max_terms_per_stratum=10)
+
+
 def test_caps_validation():
     with pytest.raises(ValueError):
         RepCaps(depth=0)
@@ -173,3 +184,85 @@ def test_pipeline_report_json(alg):
     assert data["strata_sizes"] == [0, 1, 2]
     assert isinstance(data["terms"], list) and data["terms"]
     assert data["fragment_classes"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# GroundTerm: cached hash, depth and sort key against recursive references
+
+_G2 = frozenset({"a", "b"})
+_heads = st.sampled_from([
+    Table.from_rows(_G2, {NTuple.of({1: "a"})}),
+    Table.from_rows(_G2, {NTuple.of({1: "a"}), NTuple.of({1: "b"})}),
+    Table.from_rows(_G2, {NTuple.of({1: "b", 2: "a"})}),
+    "f",
+    "g",
+])
+
+
+def _term_specs(max_depth):
+    """(head, children) specs of trees with at most ``max_depth`` levels."""
+    spec = st.tuples(_heads, st.just(()))
+    for _ in range(max_depth - 1):
+        spec = st.one_of(spec, st.tuples(_heads, st.lists(spec, max_size=3).map(tuple)))
+    return spec
+
+
+def _build(spec):
+    head, children = spec
+    return GroundTerm(head, tuple(_build(c) for c in children))
+
+
+def _ref_depth(t):
+    return 1 + max((_ref_depth(c) for c in t.children), default=0)
+
+
+def _ref_sort_key(t):
+    head = t.head.sort_key() if hasattr(t.head, "sort_key") else str(t.head)
+    return (_ref_depth(t), head, tuple(_ref_sort_key(c) for c in t.children))
+
+
+@given(_term_specs(5))
+def test_ground_term_cached_fields_match_reference(spec):
+    t = _build(spec)
+    assert t.depth == _ref_depth(t)
+    assert t.sort_key() == _ref_sort_key(t)
+    assert t.sort_key() is t.sort_key()
+    assert term_key(t) == t.sort_key()
+
+
+@given(_term_specs(5), _term_specs(5))
+def test_ground_term_structural_equality_and_hash(spec1, spec2):
+    t1, again = _build(spec1), _build(spec1)
+    assert t1 is not again
+    assert t1 == again and not t1 != again
+    assert hash(t1) == hash(again) == hash((t1.head, t1.children))
+    t2 = _build(spec2)
+    assert (t1 == t2) == (spec1 == spec2)
+    assert len({t1, again, t2}) == (1 if spec1 == spec2 else 2)
+
+
+class _CollidingHead:
+    """Heads that all hash alike but are equal only to themselves."""
+
+    def __hash__(self):
+        return 7
+
+
+def test_ground_term_equality_is_structural_under_hash_collision():
+    h1, h2 = _CollidingHead(), _CollidingHead()
+    t1, t2 = GroundTerm(h1), GroundTerm(h2)
+    assert hash(t1) == hash(t2)
+    assert t1 != t2 and len({t1, t2}) == 2
+    assert GroundTerm(h1, (t1,)) != GroundTerm(h1, (t2,))
+
+
+def test_ground_term_is_immutable_and_picklable(alg):
+    c = GroundTerm(unary_const(alg))
+    t = GroundTerm(unary_const(alg), (c,))
+    with pytest.raises(FrozenInstanceError):
+        t.head = None
+    with pytest.raises(FrozenInstanceError):
+        del t.children
+    assert t != (t.head, t.children)
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t) and copy.depth == 2
