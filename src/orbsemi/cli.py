@@ -199,19 +199,18 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _parse_caps(text, depth) -> RepCaps:
-    caps = RepCaps(depth=depth)
-    if not text:
-        return caps
     keys = {"symbols": "max_symbols", "stratum": "max_terms_per_stratum",
             "vars": "max_symbol_vars"}
-    for part in text.split(","):
+    overrides = {}
+    parts = text.split(",") if text else []
+    for part in parts:
         k, _, v = part.partition("=")
         k = k.strip()
         if k not in keys or not v.strip().isdigit():
             raise ValueError(f"bad caps entry {part!r} (expected key=N with key "
                              f"in {sorted(keys)})")
-        setattr(caps, keys[k], int(v))
-    return caps
+        overrides[keys[k]] = int(v)
+    return RepCaps(depth=depth, **overrides)
 
 
 def _cmd_embed(args, out) -> int:

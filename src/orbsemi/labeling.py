@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .orbital import CheckReport, OrbitalInstance, SampleConfig, _random_subset
-from .tables import Table, TableAlgebra, all_rows, bottom, natural_join
+from .orbital import (CheckReport, OrbitalInstance, SampleConfig, _random_subset,
+                      _transform_pool)
+from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
 from .tuples import NTuple, act, atom_key, merge
@@ -84,7 +85,7 @@ def _sample_tuples(alpha: Labeling, cfg: SampleConfig, rng: random.Random,
     atoms = sorted(alpha.ground if atoms is None else atoms, key=atom_key)
     window = sorted(cfg.window)
     pool = [NTuple(())]
-    small = [X for X in _subsets(window) if 1 <= len(X) <= 2]
+    small = [X for X in subsets(window) if 1 <= len(X) <= 2]
     budgeted = sum(len(atoms) ** len(X) for X in small) <= 4 * cfg.element_budget
     if budgeted:
         for X in small:
@@ -93,12 +94,6 @@ def _sample_tuples(alpha: Labeling, cfg: SampleConfig, rng: random.Random,
         X = [x for x in window if rng.random() < 0.6]
         pool.append(NTuple.of({x: rng.choice(atoms) for x in X}))
     return pool
-
-
-def _subsets(items):
-    items = list(items)
-    for k in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, k))
 
 
 def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
@@ -119,7 +114,7 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
     inst = alpha.inst
     rng = random.Random(cfg.seed)
     tuples = _sample_tuples(alpha, cfg, rng, atoms=tuple_atoms)
-    transforms = _labeling_transform_pool(cfg, rng)
+    transforms = _transform_pool(cfg, rng)
     elements = inst.element_pool(cfg, rng)
     atoms = sorted(alpha.ground, key=atom_key)
     t_atoms = atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
@@ -222,12 +217,6 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
     return reports
 
 
-def _labeling_transform_pool(cfg, rng):
-    from .orbital import _transform_pool
-
-    return _transform_pool(cfg, rng)
-
-
 def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
     """Verify on samples that the extent map is an injective homomorphism:
     meets go to joins, right multiplication and diagonals are preserved, and
@@ -239,7 +228,7 @@ def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
     rng = random.Random(cfg.seed)
     if elements is None:
         elements = inst.element_pool(cfg, rng)
-    transforms = _labeling_transform_pool(cfg, rng)
+    transforms = _transform_pool(cfg, rng)
     window = sorted(cfg.window)
     ext = {}
 

@@ -173,7 +173,8 @@ class RepCaps:
     max_symbol_vars: int = 3  # symbols have dom {x1..x_{n+1}} with n+1 <= this
 
     def __post_init__(self):
-        if self.depth < 1 or self.max_symbols < 1 or self.max_terms_per_stratum < 1:
+        if min(self.depth, self.max_symbols, self.max_terms_per_stratum,
+               self.max_symbol_vars) < 1:
             raise ValueError("caps must be >= 1")
 
 

@@ -4,6 +4,14 @@ and diagonals over a finite nonempty ground set.
 The empty table is the bottom element and carries the symbolic ALL schema;
 the one-row table {<>} is the top element.  Tables are immutable and compare
 structurally.
+
+Rows are validated where they enter from outside: ``Table(...)`` and
+``Table.from_rows`` check every row against the schema and the ground set,
+``tableio`` builds loaded tables through ``from_rows``, and ``exprlang``
+checks that every referenced table has the expression's ground set.  The
+results of table operations (join, right multiplication, the order test) are
+built from rows of valid operands by column position and are not validated
+again.
 """
 
 from __future__ import annotations
@@ -11,10 +19,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .orbital import OrbitalInstance, SampleConfig
 from .transforms import ALL, FPTransform, schema_is_all
-from .tuples import EMPTY_TUPLE, NTuple, act, atom_key, merge, restrict_tuple
+from .tuples import EMPTY_TUPLE, NTuple, _new, _ntuple, _set, atom_key
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,24 @@ class Table:
         return "Table{" + body + "}"
 
 
+def _table(ground: frozenset, schema: frozenset, rows) -> Table:
+    """A nonempty table from rows of valid operands; unlike ``Table(...)`` it
+    skips the validation in ``__post_init__``."""
+    T = _new(Table)
+    _set(T, "ground", ground)
+    _set(T, "schema", schema)
+    _set(T, "rows", frozenset(rows))
+    return T
+
+
+def _picker(positions):
+    """The function taking a sequence to the tuple of its items at ``positions``."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions) if positions else lambda seq: ()
+
+
 def schema_of(T: Table):
     return T.schema
 
@@ -85,17 +112,33 @@ def natural_join(T1: Table, T2: Table) -> Table:
     _check_same_ground(T1, T2)
     if not T1.rows or not T2.rows:
         return bottom(T1.ground)
+    if not T1.schema:  # the top element is the unit of the join
+        return T2
+    if not T2.schema:
+        return T1
     if len(T2.rows) < len(T1.rows):
         T1, T2 = T2, T1
-    shared = T1.schema & T2.schema
+    # every row of a table has its pairs at the same positions, sorted by
+    # variable; rows match on the pairs at the shared variables, and a merged
+    # row picks its sorted pairs out of r1.pairs + r2.pairs
+    cols1, cols2 = sorted(T1.schema), sorted(T2.schema)
+    key1 = _picker([i for i, v in enumerate(cols1) if v in T2.schema])
+    key2 = _picker([i for i, v in enumerate(cols2) if v in T1.schema])
+    where = {v: i for i, v in enumerate(cols1)}
+    for i, v in enumerate(cols2):
+        where.setdefault(v, len(cols1) + i)
+    merged = _picker([where[v] for v in sorted(where)])
     buckets = {}
     for r in T2.rows:
-        buckets.setdefault(restrict_tuple(r, shared), []).append(r)
+        buckets.setdefault(key2(r.pairs), []).append(r.pairs)
     out = set()
-    for r1 in T1.rows:
-        for r2 in buckets.get(restrict_tuple(r1, shared), ()):
-            out.add(merge(r1, r2))
-    return Table.from_rows(T1.ground, out)
+    for r in T1.rows:
+        p1 = r.pairs
+        for p2 in buckets.get(key1(p1), ()):
+            out.add(merged(p1 + p2))
+    if not out:
+        return bottom(T1.ground)
+    return _table(T1.ground, T1.schema | T2.schema, map(_ntuple, out))
 
 
 def leq(T1: Table, T2: Table) -> bool:
@@ -105,14 +148,23 @@ def leq(T1: Table, T2: Table) -> bool:
         return True
     if not T2.rows:
         return False
-    return all(restrict_tuple(r, T2.schema) in T2.rows for r in T1.rows)
+    key = _picker([i for i, v in enumerate(sorted(T1.schema)) if v in T2.schema])
+    return all(_ntuple(key(r.pairs)) in T2.rows for r in T1.rows)
 
 
 def act_table(T: Table, lam: FPTransform) -> Table:
     """Rowwise right multiplication T·lam."""
     if not T.rows:
         return bottom(T.ground)
-    return Table.from_rows(T.ground, {act(r, lam) for r in T.rows})
+    # (t ∘ lam)(y) = t(lam(y)): the row's atom at lam(y)'s column, for each y
+    # in the lam-preimage of the schema (lam.pairs is sorted by source)
+    pos = {v: i for i, v in enumerate(sorted(T.schema))}
+    plan = [(y, pos[z]) for y, z in lam.pairs if z in pos]
+    rows = set()
+    for r in T.rows:
+        p = r.pairs
+        rows.add(tuple([(y, p[i][1]) for y, i in plan]))
+    return _table(T.ground, frozenset(y for y, _ in plan), map(_ntuple, rows))
 
 
 def diagonal(x: int, y: int, G) -> Table:
@@ -162,6 +214,7 @@ class TableAlgebra(OrbitalInstance):
         if not ground:
             raise ValueError("ground set must be nonempty")
         self.ground = ground
+        self._pool_cores = {}
 
     def __repr__(self):
         atoms = ",".join(str(a) for a in sorted(self.ground, key=atom_key))
@@ -185,12 +238,19 @@ class TableAlgebra(OrbitalInstance):
     def dom(self, u):
         return u.schema
 
+    def leq(self, u, v) -> bool:
+        return leq(u, v)
+
     def element_pool(self, cfg: SampleConfig, rng: random.Random) -> list:
         # exhaustive over schemas with at most two window variables, sampled
-        # random tables beyond
-        small = [X for X in subsets(sorted(cfg.window)) if len(X) <= 2]
-        pool = enumerate_tables(self.ground, small)
-        seen = set(pool)
+        # random tables beyond; the exhaustive core draws no random numbers,
+        # so it is built once per window
+        core = self._pool_cores.get(cfg.window)
+        if core is None:
+            small = [X for X in subsets(sorted(cfg.window)) if len(X) <= 2]
+            tables = enumerate_tables(self.ground, small)
+            core = self._pool_cores[cfg.window] = (tables, frozenset(tables))
+        pool, seen = list(core[0]), set(core[1])
         window = sorted(cfg.window)
         atoms = sorted(self.ground, key=atom_key)
         for _ in range(cfg.element_budget):

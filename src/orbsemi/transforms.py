@@ -93,8 +93,7 @@ class FPTransform:
 
     @classmethod
     def of(cls, mapping: Mapping[int, int] | Iterable[tuple]) -> "FPTransform":
-        items = dict(mapping).items() if isinstance(mapping, Mapping) else dict(mapping).items()
-        return cls(tuple(sorted(items)))
+        return cls(tuple(sorted(dict(mapping).items())))
 
     @property
     def mapping(self) -> dict:

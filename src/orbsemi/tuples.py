@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .transforms import FPTransform, partial_identity, var_name
+from .transforms import FPTransform, var_name
 
 
 def atom_key(a):
@@ -77,15 +77,29 @@ class NTuple:
 EMPTY_TUPLE = NTuple(())
 
 
+# bound once: the unvalidated constructors below run in the table operations' inner loops
+_new, _set = object.__new__, object.__setattr__
+
+
+def _ntuple(pairs: tuple) -> NTuple:
+    """An NTuple from pairs that are already sorted by variable and functional;
+    unlike ``NTuple(pairs)`` it skips the validation in ``__post_init__``."""
+    t = _new(NTuple)
+    _set(t, "pairs", pairs)
+    return t
+
+
 def act(t: NTuple, lam: FPTransform) -> NTuple:
     """t ∘ lam; defined on the lam-preimage of df(t)."""
     entries = t.entries
-    return NTuple.of({y: entries[z] for y, z in lam.pairs if z in entries})
+    # lam.pairs is sorted by source, so the result is too
+    return _ntuple(tuple((y, entries[z]) for y, z in lam.pairs if z in entries))
 
 
 def restrict_tuple(t: NTuple, X: Iterable[int]) -> NTuple:
     """t|_X = t ∘ π_X."""
-    return act(t, partial_identity(X))
+    X = X if isinstance(X, (set, frozenset)) else set(X)
+    return _ntuple(tuple(p for p in t.pairs if p[0] in X))
 
 
 def extends(t: NTuple, tt: NTuple) -> bool:

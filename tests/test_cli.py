@@ -132,6 +132,14 @@ def test_embed_caps_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cap", ["symbols=0", "stratum=0", "vars=0"])
+def test_embed_caps_below_one_rejected(cap, capsys):
+    assert main(["embed", "--ground", "a", "--caps", cap]) == 2
+    captured = capsys.readouterr()
+    assert "caps must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_subcommand_usage(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
