@@ -437,9 +437,10 @@ def _drv_meet_dom_union(c: _Case):
 
 def _drv_order_via_dom_projection(c: _Case):
     inst = c.inst
-    if c.v == inst.zero():
-        return False, True, {}  # pi_{dom(0)} is not finite
-    pi = partial_identity(inst.dom(c.v))
+    dv = inst.dom(c.v)
+    if schema_is_all(dv):
+        return False, True, {}  # pi_var is not a finite transformation
+    pi = partial_identity(dv)
     lhs = inst.leq(c.u, c.v)
     rhs = inst.leq(inst.act(c.u, pi), c.v)
     return True, lhs == rhs, {"u<=v": lhs, "u*pi_dom(v)<=v": rhs}

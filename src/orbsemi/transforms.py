@@ -153,7 +153,10 @@ def astrict(lam: FPTransform, Z: Iterable[int]) -> FPTransform:
     return FPTransform(tuple(p for p in lam.pairs if p[1] in Z))
 
 
-def preimage(lam: FPTransform, Z: Iterable[int]) -> frozenset:
+def preimage(lam: FPTransform, Z) -> frozenset:
+    """lam^-1(Z) for a schema Z; lam^-1(ALL) = df(lam)."""
+    if schema_is_all(Z):
+        return lam.df
     Z = set(Z)
     return frozenset(y for y, z in lam.pairs if z in Z)
 

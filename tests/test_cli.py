@@ -80,6 +80,18 @@ def test_check_axioms_mutant_fails(capsys):
     assert "counterexample" in out
 
 
+def test_check_axioms_dom_top_all_reports_instead_of_crashing(capsys):
+    # dom(1) = ALL used to reach set(ALL) in A11's preimage
+    code = main(["check-axioms", "--ground", "a,b", "--mutate", "dom-top-all",
+                 "--format", "json"])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["A11"]["status"] == "fail"
+    assert checks["A11"]["counterexample"] is not None
+    assert main(["check-props", "--ground", "a,b", "--mutate", "dom-top-all"]) == 1
+    capsys.readouterr()
+
+
 def test_check_axioms_unknown_id(capsys):
     assert main(["check-axioms", "--ground", "a,b", "--only", "A99"]) == 2
     capsys.readouterr()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbsemi.transforms import (
+    ALL,
     EMPTY,
     FPTransform,
     all_transforms,
@@ -76,6 +77,7 @@ def test_preimage():
     f = tf(x1=3, x2=3, x3=1)
     assert preimage(f, {3}) == {1, 2}
     assert preimage(f, {2}) == frozenset()
+    assert preimage(f, ALL) == f.df  # lam^-1(var) = df(lam)
 
 
 def test_right_inverse_picks_minimal_source():
