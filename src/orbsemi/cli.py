@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from . import exprlang
-from .labeling import check_embedding, check_labeling, singleton_labeling
+from .labeling import (EMBEDDING_IDS, LABELING_IDS, check_embedding, check_labeling,
+                       singleton_labeling)
 from .mutants import MUTANTS, make_mutant
 from .orbital import (
     AXIOM_IDS,
@@ -164,12 +165,12 @@ def _cmd_check_labeling(args, out) -> int:
     inst = TableAlgebra(_parse_ground(args.ground))
     cfg = _sample_config(args)
     alpha = singleton_labeling(inst)
+    wanted = _selected(args, LABELING_IDS + EMBEDDING_IDS)
+    # the laws share one rng, so all of them run and the selection is a filter
     reports = check_labeling(alpha, args.level, cfg) + check_embedding(alpha, cfg)
-    if args.only:
-        wanted = {s.strip() for s in args.only.split(",")}
-        reports = [r for r in reports if r.check_id in wanted]
-        if not reports:
-            raise ValueError(f"no checks match --only {args.only!r}")
+    reports = [r for r in reports if r.check_id in wanted]
+    if not reports:
+        raise ValueError(f"no checks match --only {args.only!r}")
     _emit_reports(reports, args.format, out)
     return _exit_for(reports)
 

@@ -17,11 +17,12 @@ separately from failures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .orbital import (CheckReport, OrbitalInstance, SampleConfig, _random_subset,
-                      _transform_pool)
+from .orbital import (OrbitalInstance, SampleConfig, _random_subset, _transform_pool,
+                      run_cases)
 from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
@@ -96,6 +97,12 @@ def _sample_tuples(alpha: Labeling, cfg: SampleConfig, rng: random.Random,
     return pool
 
 
+#: the labeling laws in run order; level "quasi" runs the first three
+LABELING_IDS = ("L1", "L2", "L3", "L4")
+EMBEDDING_IDS = ("emb-dom", "emb-injective", "emb-meet", "emb-act", "emb-diag",
+                 "emb-bounds")
+
+
 def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
                    witness_cap: int = 256, tuple_atoms=None) -> list:
     """Run the labeling laws; ``level`` is "quasi" (L1-L3) or "full" (adds L4).
@@ -105,7 +112,8 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
     check sound on truncated grounds, where witnesses for the deepest atoms
     would fall outside the built fragment.
 
-    Returns one CheckReport per law.
+    Returns one CheckReport per law.  The laws draw from one rng in order, so
+    a law's cases depend on the laws run before it.
     """
     if level not in ("quasi", "full"):
         raise ValueError(f"level must be 'quasi' or 'full', got {level!r}")
@@ -118,46 +126,34 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
     elements = inst.element_pool(cfg, rng)
     atoms = sorted(alpha.ground, key=atom_key)
     t_atoms = atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
+    window = sorted(cfg.window)
 
-    reports = []
+    def pick(i):
+        return tuples[i] if i < len(tuples) else rng.choice(tuples)
 
-    r1 = CheckReport(check_id="L1", seed=cfg.seed)
-    for i, t in enumerate(tuples):
-        r1.cases_run += 1
-        r1.cases_applicable += 1
-        if inst.dom(alpha(t)) != t.df:
-            r1.passed = False
-            r1.counterexample = {"t": repr(t), "alpha(t)": repr(alpha(t)),
-                                 "dom": repr(inst.dom(alpha(t))), "case_index": i}
-            break
-    reports.append(r1)
+    def l1(t):
+        d = inst.dom(alpha(t))
+        return d == t.df, lambda: {"t": repr(t), "alpha(t)": repr(alpha(t)),
+                                   "dom": repr(d)}
 
-    r2 = CheckReport(check_id="L2", seed=cfg.seed)
-    for i in range(max(cfg.cases, len(tuples))):
-        t = tuples[i] if i < len(tuples) else rng.choice(tuples)
-        lam = rng.choice(transforms)
-        r2.cases_run += 1
-        r2.cases_applicable += 1
+    def l2(case):
+        t, lam = case
         lhs = alpha(act(t, lam))
         rhs = inst.act(alpha(t), lam)
-        if lhs != rhs:
-            r2.passed = False
-            r2.counterexample = {"t": repr(t), "lam": repr(lam),
-                                 "alpha(t∘lam)": repr(lhs),
-                                 "alpha(t)·lam": repr(rhs), "case_index": i}
-            break
-    reports.append(r2)
+        return lhs == rhs, lambda: {"t": repr(t), "lam": repr(lam),
+                                    "alpha(t∘lam)": repr(lhs),
+                                    "alpha(t)·lam": repr(rhs)}
 
-    r3 = CheckReport(check_id="L3", seed=cfg.seed)
     capped = 0
-    for i in range(cfg.cases):
-        r3.cases_run += 1
+
+    def l3(_):
+        nonlocal capped
         if rng.random() < 0.5 and elements:
             # directed: project a sampled element and pick a tuple below it
             v = rng.choice(elements)
             dv = inst.dom(v)
             if v == inst.zero() or schema_is_all(dv):
-                continue
+                return None
             X = _random_subset(rng, sorted(dv))
             u = inst.act(v, partial_identity(X))
             candidates = [
@@ -165,55 +161,41 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
                 if inst.leq(alpha(t), u)
             ] if len(t_atoms) ** len(X) <= witness_cap else []
             if not candidates:
-                continue
+                return None
             t = rng.choice(candidates)
         else:
             t = rng.choice(tuples)
             v = rng.choice(elements)
             dv = inst.dom(v)
             if schema_is_all(dv) or not t.df <= dv:
-                continue
+                return None
             if not inst.leq(alpha(t), inst.act(v, partial_identity(t.df))):
-                continue
-            dv = inst.dom(v)
-        missing = dv - t.df
+                return None
+        missing = sorted(dv - t.df)
         if len(atoms) ** len(missing) > witness_cap:
             capped += 1
-            continue
-        r3.cases_applicable += 1
-        found = False
-        for combo in itertools.product(atoms, repeat=len(missing)):
-            tt = merge(t, NTuple.of(dict(zip(sorted(missing), combo))))
-            if inst.leq(alpha(tt), v):
-                found = True
-                break
-        if not found:
-            r3.passed = False
-            r3.counterexample = {"t": repr(t), "v": repr(v), "case_index": i}
-            break
-    r3.notes["witness_search_capped"] = capped
-    reports.append(r3)
+            return None
+        found = any(inst.leq(alpha(merge(t, NTuple.of(dict(zip(missing, combo))))), v)
+                    for combo in itertools.product(atoms, repeat=len(missing)))
+        return found, lambda: {"t": repr(t), "v": repr(v)}
 
+    def l4(case):
+        t, z1, z2 = case
+        if not inst.leq(alpha(t), inst.diag(z1, z2)):
+            return None
+        return t.get(z1) == t.get(z2), lambda: {"t": repr(t), "z1": z1, "z2": z2}
+
+    n = max(cfg.cases, len(tuples))
+    reports = [
+        run_cases("L1", cfg.seed, tuples, l1),
+        run_cases("L2", cfg.seed, ((pick(i), rng.choice(transforms)) for i in range(n)), l2),
+        run_cases("L3", cfg.seed, range(cfg.cases), l3),
+    ]
+    reports[-1].notes["witness_search_capped"] = capped
     if level == "full":
-        r4 = CheckReport(check_id="L4", seed=cfg.seed)
-        window = sorted(cfg.window)
-        for i in range(cfg.cases):
-            t = tuples[i] if i < len(tuples) else rng.choice(tuples)
-            z1 = rng.choice(window)
-            z2 = rng.choice(window)
-            r4.cases_run += 1
-            if not inst.leq(alpha(t), inst.diag(z1, z2)):
-                continue
-            r4.cases_applicable += 1
-            if t.get(z1) != t.get(z2):
-                r4.passed = False
-                r4.counterexample = {"t": repr(t), "z1": z1, "z2": z2,
-                                     "case_index": i}
-                break
-        reports.append(r4)
-
-    for r in reports:
-        r.vacuous = r.cases_applicable == 0
+        cases = ((pick(i), rng.choice(window), rng.choice(window))
+                 for i in range(cfg.cases))
+        reports.append(run_cases("L4", cfg.seed, cases, l4))
     return reports
 
 
@@ -230,102 +212,60 @@ def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
         elements = inst.element_pool(cfg, rng)
     transforms = _transform_pool(cfg, rng)
     window = sorted(cfg.window)
-    ext = {}
+    ext_of = functools.cache(lambda u: extent(alpha, u))
 
-    def ext_of(u):
-        got = ext.get(u)
-        if got is None:
-            got = ext[u] = extent(alpha, u)
-        return got
+    def pairs_with(pool):
+        """Every element in turn, then random ones, each with a draw from pool."""
+        return ((elements[i] if i < len(elements) else rng.choice(elements),
+                 rng.choice(pool)) for i in range(max(cfg.cases, len(elements))))
 
-    reports = []
+    def schema_is_dom(u):
+        return ext_of(u).schema == inst.dom(u), lambda: {"u": repr(u),
+                                                         "ext(u)": repr(ext_of(u))}
 
-    r_dom = CheckReport(check_id="emb-dom", seed=cfg.seed)
-    for u in elements:
-        r_dom.cases_run += 1
-        r_dom.cases_applicable += 1
-        if ext_of(u).schema != inst.dom(u):
-            r_dom.passed = False
-            r_dom.counterexample = {"u": repr(u), "ext(u)": repr(ext_of(u))}
-            break
-    reports.append(r_dom)
-
-    r_inj = CheckReport(check_id="emb-injective", seed=cfg.seed)
-    for i in range(max(cfg.cases, len(elements))):
-        u = elements[i] if i < len(elements) else rng.choice(elements)
-        v = rng.choice(elements)
-        r_inj.cases_run += 1
+    def injective(case):
+        u, v = case
         if u == v:
-            continue
-        r_inj.cases_applicable += 1
-        if ext_of(u) == ext_of(v):
-            r_inj.passed = False
-            r_inj.counterexample = {"u": repr(u), "v": repr(v),
-                                    "ext": repr(ext_of(u)), "case_index": i}
-            break
-    reports.append(r_inj)
+            return None
+        return ext_of(u) != ext_of(v), lambda: {"u": repr(u), "v": repr(v),
+                                                "ext": repr(ext_of(u))}
 
-    r_meet = CheckReport(check_id="emb-meet", seed=cfg.seed)
-    for i in range(max(cfg.cases, len(elements))):
-        u = elements[i] if i < len(elements) else rng.choice(elements)
-        v = rng.choice(elements)
-        r_meet.cases_run += 1
-        r_meet.cases_applicable += 1
+    def meet_to_join(case):
+        u, v = case
         lhs = ext_of(inst.meet(u, v))
         rhs = natural_join(ext_of(u), ext_of(v))
-        if lhs != rhs:
-            r_meet.passed = False
-            r_meet.counterexample = {"u": repr(u), "v": repr(v),
-                                     "ext(u^v)": repr(lhs),
-                                     "ext(u)⋈ext(v)": repr(rhs), "case_index": i}
-            break
-    reports.append(r_meet)
+        return lhs == rhs, lambda: {"u": repr(u), "v": repr(v),
+                                    "ext(u^v)": repr(lhs), "ext(u)⋈ext(v)": repr(rhs)}
 
-    r_act = CheckReport(check_id="emb-act", seed=cfg.seed)
-    for i in range(max(cfg.cases, len(elements))):
-        u = elements[i] if i < len(elements) else rng.choice(elements)
-        lam = rng.choice(transforms)
-        r_act.cases_run += 1
-        r_act.cases_applicable += 1
+    def act_preserved(case):
+        u, lam = case
         lhs = ext_of(inst.act(u, lam))
         rhs = act_table(ext_of(u), lam)
-        if lhs != rhs:
-            r_act.passed = False
-            r_act.counterexample = {"u": repr(u), "lam": repr(lam),
-                                    "ext(u·lam)": repr(lhs),
-                                    "ext(u)·lam": repr(rhs), "case_index": i}
-            break
-    reports.append(r_act)
+        return lhs == rhs, lambda: {"u": repr(u), "lam": repr(lam),
+                                    "ext(u·lam)": repr(lhs), "ext(u)·lam": repr(rhs)}
 
-    r_diag = CheckReport(check_id="emb-diag", seed=cfg.seed)
-    for x in window:
-        for y in window:
-            r_diag.cases_run += 1
-            r_diag.cases_applicable += 1
-            lhs = ext_of(inst.diag(x, y))
-            rhs = diagonal(x, y, alpha.ground)
-            if lhs != rhs:
-                r_diag.passed = False
-                r_diag.counterexample = {"x": x, "y": y, "ext(d_xy)": repr(lhs),
-                                         "E_xy": repr(rhs)}
-                break
-        if not r_diag.passed:
-            break
-    reports.append(r_diag)
+    def diag_preserved(case):
+        x, y = case
+        lhs = ext_of(inst.diag(x, y))
+        rhs = diagonal(x, y, alpha.ground)
+        return lhs == rhs, lambda: {"x": x, "y": y, "ext(d_xy)": repr(lhs),
+                                    "E_xy": repr(rhs)}
 
-    r_bounds = CheckReport(check_id="emb-bounds", seed=cfg.seed)
-    r_bounds.cases_run = r_bounds.cases_applicable = 2
-    if ext_of(inst.zero()).rows:
-        r_bounds.passed = False
-        r_bounds.counterexample = {"ext(0)": repr(ext_of(inst.zero()))}
-    elif ext_of(inst.one()).rows != frozenset({NTuple(())}):
-        r_bounds.passed = False
-        r_bounds.counterexample = {"ext(1)": repr(ext_of(inst.one()))}
-    reports.append(r_bounds)
+    def bound_preserved(case):
+        name, u, rows = case
+        return ext_of(u).rows == rows, lambda: {name: repr(ext_of(u))}
 
-    for r in reports:
-        r.vacuous = r.cases_applicable == 0
-    return reports
+    bounds = [("ext(0)", inst.zero(), frozenset()),
+              ("ext(1)", inst.one(), frozenset({NTuple(())}))]
+    return [
+        run_cases("emb-dom", cfg.seed, elements, schema_is_dom),
+        run_cases("emb-injective", cfg.seed, pairs_with(elements), injective),
+        run_cases("emb-meet", cfg.seed, pairs_with(elements), meet_to_join),
+        run_cases("emb-act", cfg.seed, pairs_with(transforms), act_preserved),
+        run_cases("emb-diag", cfg.seed, itertools.product(window, window),
+                  diag_preserved),
+        run_cases("emb-bounds", cfg.seed, bounds, bound_preserved),
+    ]
 
 
 def extent_act_inclusion(alpha: Labeling, u, lam) -> bool:
@@ -362,15 +302,6 @@ class Equivalence:
     def same(self, a, b) -> bool:
         return self.find(a) == self.find(b)
 
-    def blocks(self) -> dict:
-        out = {}
-        for a in self.parent:
-            out.setdefault(self.find(a), set()).add(a)
-        return out
-
-    def representatives(self) -> frozenset:
-        return frozenset(self.blocks())
-
 
 def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0,
              window=(1, 2, 3)):
@@ -401,10 +332,10 @@ def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0,
                     "input was not a quasi-labeling")
 
     rng = random.Random(seed)
-    reps = sorted(eq.representatives(), key=atom_key)
     members = {}  # class root -> its atoms, in atom order
     for a in atoms:
         members.setdefault(eq.find(a), []).append(a)
+    reps = sorted(members, key=atom_key)
     for _ in range(spot_checks):
         X = [x for x in window if rng.random() < 0.7]
         s = NTuple.of({x: rng.choice(atoms) for x in X})

@@ -244,21 +244,22 @@ def _draw_case(inst, cfg, rng, elements, transforms, index) -> _Case:
 
 
 # ---------------------------------------------------------------------------
-# Axiom bodies.  Each returns (applicable, ok, extra-detail).
+# Axiom bodies.  Each returns None when the case does not apply, else
+# (ok, detail) with detail() the extra counterexample fields (see run_cases).
 
 
 def _ax1(c: _Case):
     inst = c.inst
     if c.u == inst.zero():
-        return False, True, {}
+        return None
     lhs = inst.act(c.u, EMPTY)
-    return True, lhs == inst.one(), {"u*pi_empty": lhs}
+    return lhs == inst.one(), lambda: {"u*pi_empty": lhs}
 
 
 def _ax2(c: _Case):
     inst = c.inst
     lhs = inst.act(inst.zero(), c.lam)
-    return True, lhs == inst.zero(), {"zero*lam": lhs}
+    return lhs == inst.zero(), lambda: {"zero*lam": lhs}
 
 
 def _ax3(c: _Case):
@@ -268,17 +269,17 @@ def _ax3(c: _Case):
     if not schema_is_all(du) and c.rng.random() < 0.5:
         Y = Y | du  # bias toward satisfying the hypothesis
     if not schema_subset(du, Y):
-        return False, True, {}
+        return None
     piY = partial_identity(Y)
     lhs = inst.act(inst.meet(c.u, c.v), piY)
     rhs = inst.meet(c.u, inst.act(c.v, piY))
-    return True, lhs == rhs, {"(u^v)*piY": lhs, "u^(v*piY)": rhs, "Y_used": sorted(Y)}
+    return lhs == rhs, lambda: {"(u^v)*piY": lhs, "u^(v*piY)": rhs, "Y_used": sorted(Y)}
 
 
 def _ax4(c: _Case):
     inst = c.inst
     proj = inst.act(c.u, partial_identity(c.Y))
-    return True, inst.leq(c.u, proj), {"u*piY": proj}
+    return inst.leq(c.u, proj), lambda: {"u*piY": proj}
 
 
 def _ax5(c: _Case):
@@ -286,65 +287,65 @@ def _ax5(c: _Case):
     u = inst.meet(c.u, c.v)  # guarantees u <= v
     lhs = inst.act(u, c.lam)
     rhs = inst.act(c.v, c.lam)
-    return True, inst.leq(lhs, rhs), {"u_used": u, "u*lam": lhs, "v*lam": rhs}
+    return inst.leq(lhs, rhs), lambda: {"u_used": u, "u*lam": lhs, "v*lam": rhs}
 
 
 def _ax6(c: _Case):
     inst = c.inst
     if c.x == c.y:
-        return False, True, {}
+        return None
     u = inst.meet(c.u, inst.diag(c.x, c.y))  # guarantees u <= d_xy
     if u == inst.zero():
-        return False, True, {}
+        return None
     du = inst.dom(u)
     pi = partial_identity(du - {c.y})
     rhs = inst.meet(inst.act(u, pi), inst.diag(c.x, c.y))
-    return True, u == rhs, {"u_used": u, "rhs": rhs}
+    return u == rhs, lambda: {"u_used": u, "rhs": rhs}
 
 
 def _ax7(c: _Case):
     inst = c.inst
     lhs = inst.act(inst.act(c.u, c.lam), c.mu)
     rhs = inst.act(c.u, compose(c.lam, c.mu))
-    return True, lhs == rhs, {"(u*lam)*mu": lhs, "u*(lam.mu)": rhs}
+    return lhs == rhs, lambda: {"(u*lam)*mu": lhs, "u*(lam.mu)": rhs}
 
 
 def _ax8(c: _Case):
     inst = c.inst
     du = inst.dom(c.u)
     if schema_is_all(du):
-        return False, True, {}  # pi_var is not a finite transformation
+        return None  # pi_var is not a finite transformation
     rhs = inst.act(c.u, partial_identity(du))
-    return True, rhs == c.u, {"u*pi_dom": rhs}
+    return rhs == c.u, lambda: {"u*pi_dom": rhs}
 
 
 def _ax9(c: _Case):
     inst = c.inst
     d = inst.diag(c.x, c.x)
-    return True, d != inst.zero(), {"d_xx": d}
+    return d != inst.zero(), lambda: {"d_xx": d}
 
 
 def _ax10(c: _Case):
     inst = c.inst
     lhs = inst.diag(c.x, c.y)
     rhs = inst.act(inst.diag(c.x, c.x), FPTransform.of({c.x: c.x, c.y: c.x}))
-    return True, lhs == rhs, {"d_xy": lhs, "d_xx*(xx/xy)": rhs}
+    return lhs == rhs, lambda: {"d_xy": lhs, "d_xx*(xx/xy)": rhs}
 
 
 def _ax11(c: _Case):
     inst = c.inst
     if c.u == inst.zero():
-        return False, True, {}
+        return None
     lhs = inst.dom(inst.act(c.u, c.lam))
     rhs = preimage(c.lam, inst.dom(c.u))
-    return True, lhs == rhs, {"dom(u*lam)": lhs, "lam^-1(dom u)": sorted(rhs)}
+    return lhs == rhs, lambda: {"dom(u*lam)": lhs, "lam^-1(dom u)": sorted(rhs)}
 
 
 def _ax12(c: _Case):
     inst = c.inst
     if c.u == inst.zero():
-        return False, True, {}
-    return True, not schema_is_all(inst.dom(c.u)), {"dom(u)": inst.dom(c.u)}
+        return None
+    return not schema_is_all(inst.dom(c.u)), lambda: {"dom(u)": inst.dom(c.u)}
 
 
 def _ax13(c: _Case):
@@ -356,7 +357,7 @@ def _ax13(c: _Case):
     fwd = all(inst.leq(c.u, inst.diag(x, x)) for x in fwd_vars)
     below = frozenset(x for x in c.window if inst.leq(c.u, inst.diag(x, x)))
     rev = below <= schema_intersect_window(du, c.window)
-    return True, fwd and rev, {"dom(u)": du, "{x in window: u<=d_xx}": sorted(below)}
+    return fwd and rev, lambda: {"dom(u)": du, "{x in window: u<=d_xx}": sorted(below)}
 
 
 _AXIOMS = {
@@ -377,43 +378,43 @@ def _drv_dom_antitone(c: _Case):
     inst = c.inst
     u = inst.meet(c.u, c.v)
     if not inst.leq(u, c.v):
-        return False, True, {}
+        return None
     ok = schema_subset(inst.dom(c.v), inst.dom(u))
-    return True, ok, {"u_used": u, "dom(u)": inst.dom(u), "dom(v)": inst.dom(c.v)}
+    return ok, lambda: {"u_used": u, "dom(u)": inst.dom(u), "dom(v)": inst.dom(c.v)}
 
 
 def _drv_diag_dom(c: _Case):
     inst = c.inst
     d = inst.dom(inst.diag(c.x, c.y))
-    return True, d == frozenset({c.x, c.y}), {"dom(d_xy)": d}
+    return d == frozenset({c.x, c.y}), lambda: {"dom(d_xy)": d}
 
 
 def _drv_zero_dom_all(c: _Case):
     inst = c.inst
-    return True, schema_is_all(inst.dom(inst.zero())), {"dom(0)": inst.dom(inst.zero())}
+    return schema_is_all(inst.dom(inst.zero())), lambda: {"dom(0)": inst.dom(inst.zero())}
 
 
 def _drv_nonzero_iff_finite_dom(c: _Case):
     inst = c.inst
     finite = not schema_is_all(inst.dom(c.u))
-    return True, (c.u != inst.zero()) == finite, {"dom(u)": inst.dom(c.u)}
+    return (c.u != inst.zero()) == finite, lambda: {"dom(u)": inst.dom(c.u)}
 
 
 def _drv_one_iff_empty_dom(c: _Case):
     inst = c.inst
     empty_dom = inst.dom(c.u) == frozenset()
-    return True, (c.u == inst.one()) == empty_dom, {"dom(u)": inst.dom(c.u)}
+    return (c.u == inst.one()) == empty_dom, lambda: {"dom(u)": inst.dom(c.u)}
 
 
 def _drv_zero_neq_one(c: _Case):
     inst = c.inst
-    return True, inst.zero() != inst.one(), {}
+    return inst.zero() != inst.one(), lambda: {}
 
 
 def _drv_one_absorbs_act(c: _Case):
     inst = c.inst
     lhs = inst.act(inst.one(), c.lam)
-    return True, lhs == inst.one(), {"one*lam": lhs}
+    return lhs == inst.one(), lambda: {"one*lam": lhs}
 
 
 def _drv_act_astrict_dom(c: _Case):
@@ -422,42 +423,42 @@ def _drv_act_astrict_dom(c: _Case):
     lam2 = c.lam if schema_is_all(du) else astrict(c.lam, du)
     lhs = inst.act(c.u, c.lam)
     rhs = inst.act(c.u, lam2)
-    return True, lhs == rhs, {"u*lam": lhs, "u*lam|^dom": rhs}
+    return lhs == rhs, lambda: {"u*lam": lhs, "u*lam|^dom": rhs}
 
 
 def _drv_meet_dom_union(c: _Case):
     inst = c.inst
     w = inst.meet(c.u, c.v)
     if w == inst.zero():
-        return False, True, {}
+        return None
     lhs = inst.dom(w)
     rhs = schema_union(inst.dom(c.u), inst.dom(c.v))
-    return True, lhs == rhs, {"dom(u^v)": lhs, "dom(u)|dom(v)": rhs}
+    return lhs == rhs, lambda: {"dom(u^v)": lhs, "dom(u)|dom(v)": rhs}
 
 
 def _drv_order_via_dom_projection(c: _Case):
     inst = c.inst
     dv = inst.dom(c.v)
     if schema_is_all(dv):
-        return False, True, {}  # pi_var is not a finite transformation
+        return None  # pi_var is not a finite transformation
     pi = partial_identity(dv)
     lhs = inst.leq(c.u, c.v)
     rhs = inst.leq(inst.act(c.u, pi), c.v)
-    return True, lhs == rhs, {"u<=v": lhs, "u*pi_dom(v)<=v": rhs}
+    return lhs == rhs, lambda: {"u<=v": lhs, "u*pi_dom(v)<=v": rhs}
 
 
 def _drv_injective_act_meet(c: _Case):
     inst = c.inst
     lam = _random_injection(c.rng, sorted(c.window))
     if not is_injective(lam):
-        return False, True, {}
+        return None
     n = c.rng.randrange(0, 4)
     vs = [c.rng.choice(c.elements) for _ in range(n)]
     doms = frozenset()
     for v in vs:
         doms = schema_union(doms, inst.dom(v))
     if not schema_subset(doms, lam.rng):
-        return False, True, {}
+        return None
     lhs = inst.one()
     for v in vs:
         lhs = inst.meet(lhs, v)
@@ -465,15 +466,15 @@ def _drv_injective_act_meet(c: _Case):
     rhs = inst.one()
     for v in vs:
         rhs = inst.meet(rhs, inst.act(v, lam))
-    return True, lhs == rhs, {"vs": [repr(v) for v in vs], "lam_used": lam,
-                              "(meet)*lam": lhs, "meet(*lam)": rhs}
+    return lhs == rhs, lambda: {"vs": [repr(v) for v in vs], "lam_used": lam,
+                                "(meet)*lam": lhs, "meet(*lam)": rhs}
 
 
 def _drv_diag_rename_single(c: _Case):
     inst = c.inst
     lhs = inst.act(inst.diag(c.x, c.x), FPTransform.of({c.y: c.x}))
     rhs = inst.diag(c.y, c.y)
-    return True, lhs == rhs, {"d_yy*(y/z)": lhs, "d_zz": rhs}
+    return lhs == rhs, lambda: {"d_yy*(y/z)": lhs, "d_zz": rhs}
 
 
 def _drv_diag_rename_pair(c: _Case):
@@ -484,13 +485,13 @@ def _drv_diag_rename_pair(c: _Case):
     lam = FPTransform.of({y1: z1, y2: z2})
     lhs = inst.act(inst.diag(z1, z2), lam)
     rhs = inst.diag(y1, y2)
-    return True, lhs == rhs, {"z1": z1, "z2": z2, "y1": y1, "y2": y2,
-                              "d_z1z2*lam": lhs, "d_y1y2": rhs}
+    return lhs == rhs, lambda: {"z1": z1, "z2": z2, "y1": y1, "y2": y2,
+                                "d_z1z2*lam": lhs, "d_y1y2": rhs}
 
 
 def _drv_diag_symmetric(c: _Case):
     inst = c.inst
-    return True, inst.diag(c.x, c.y) == inst.diag(c.y, c.x), {}
+    return inst.diag(c.x, c.y) == inst.diag(c.y, c.x), lambda: {}
 
 
 def _drv_folding_below_diagonal(c: _Case):
@@ -506,10 +507,10 @@ def _drv_folding_below_diagonal(c: _Case):
         else:
             delta = _folding_onto(c.rng, df, retract)
     if not schema_subset(delta.rng, dv):
-        return False, True, {}
+        return None
     lhs = inst.act(c.v, delta)
     e = e_diag(inst, delta)
-    return True, inst.leq(lhs, e), {"delta": delta, "v*delta": lhs, "e_delta": e}
+    return inst.leq(lhs, e), lambda: {"delta": delta, "v*delta": lhs, "e_delta": e}
 
 
 def _duplication_setup(c: _Case):
@@ -532,20 +533,20 @@ def _drv_duplication_meet(c: _Case):
     inst = c.inst
     setup = _duplication_setup(c)
     if setup is None:
-        return False, True, {}
+        return None
     delta, e, v = setup
     rhs = inst.meet(inst.act(v, partial_identity(delta.rng)), e)
-    return True, v == rhs, {"delta": delta, "v_used": v, "rhs": rhs}
+    return v == rhs, lambda: {"delta": delta, "v_used": v, "rhs": rhs}
 
 
 def _drv_duplication_fixed(c: _Case):
     inst = c.inst
     setup = _duplication_setup(c)
     if setup is None:
-        return False, True, {}
+        return None
     delta, _, v = setup
     rhs = inst.act(v, delta)
-    return True, v == rhs, {"delta": delta, "v_used": v, "v*delta": rhs}
+    return v == rhs, lambda: {"delta": delta, "v_used": v, "v*delta": rhs}
 
 
 _DERIVED = {
@@ -571,25 +572,46 @@ _DERIVED = {
 DERIVED_IDS = tuple(_DERIVED)
 
 
+def run_cases(check_id: str, seed: int, cases, body) -> CheckReport:
+    """Run ``body`` on each case in turn and stop at the first failure.
+
+    ``body(case)`` returns None when the case does not apply, else
+    ``(ok, detail)``; ``detail()`` builds the counterexample and is called
+    only on failure.  ``cases`` is consumed lazily, one case per call, so a
+    generator and a body that draw from one rng interleave their draws, and
+    nothing is drawn past a failure.
+    """
+    report = CheckReport(check_id=check_id, seed=seed)
+    for i, case in enumerate(cases):
+        report.cases_run += 1
+        outcome = body(case)
+        if outcome is None:
+            continue
+        report.cases_applicable += 1
+        ok, detail = outcome
+        if not ok:
+            report.passed = False
+            report.counterexample = dict(detail(), case_index=i)
+            break
+    report.vacuous = report.cases_applicable == 0
+    return report
+
+
 def _run_check(inst, check_id, body, cfg: SampleConfig) -> CheckReport:
     rng = random.Random(cfg.seed)
     elements = inst.element_pool(cfg, rng)
     transforms = _transform_pool(cfg, rng)
-    report = CheckReport(check_id=check_id, seed=cfg.seed)
-    cases = max(cfg.cases, len(elements))
-    for i in range(cases):
-        case = _draw_case(inst, cfg, rng, elements, transforms, i)
-        applicable, ok, extra = body(case)
-        report.cases_run += 1
-        if not applicable:
-            continue
-        report.cases_applicable += 1
-        if not ok:
-            report.passed = False
-            report.counterexample = dict(case.describe(**extra), case_index=i)
-            break
-    report.vacuous = report.cases_applicable == 0
-    return report
+    cases = (_draw_case(inst, cfg, rng, elements, transforms, i)
+             for i in range(max(cfg.cases, len(elements))))
+
+    def described(case):
+        outcome = body(case)
+        if outcome is None:
+            return None
+        ok, extra = outcome
+        return ok, lambda: case.describe(**extra())
+
+    return run_cases(check_id, cfg.seed, cases, described)
 
 
 def check_axiom(inst: OrbitalInstance, axiom_id: str, cfg: SampleConfig) -> CheckReport:

@@ -15,7 +15,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 from .labeling import Labeling, check_embedding, check_labeling, extent, quotient
-from .orbital import CheckReport, OrbitalInstance, SampleConfig
+from .orbital import OrbitalInstance, SampleConfig, run_cases
 from .transforms import FPTransform, partial_identity, schema_is_all
 from .tuples import NTuple, atom_key, merge
 
@@ -340,48 +340,29 @@ def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
     return NTuple(tuple(p for p in b.pairs if p[1] in keep))
 
 
-def _check_cases(check_id: str, cases, body) -> CheckReport:
-    report = CheckReport(check_id=check_id)
-    for i, case in enumerate(cases):
-        report.cases_run += 1
-        applicable, ok, detail = body(case)
-        if not applicable:
-            continue
-        report.cases_applicable += 1
-        if not ok:
-            report.passed = False
-            report.counterexample = dict(detail, case_index=i)
-            break
-    report.vacuous = report.cases_applicable == 0
-    return report
-
-
 def harvested_checks(builder: RepresentationBuilder, H: HSet,
                      cfg: SampleConfig) -> list:
-    """The property suite over base tuples and terms harvested from H."""
+    """The property suite over base tuples and terms harvested from H.
+
+    The checks draw from one rng in the order of the list at the end."""
     inst = builder.inst
     rng = random.Random(cfg.seed)
     bases = _harvest_base_tuples(builder, H, rng, budget=cfg.element_budget)
     terms = sorted(H.terms, key=term_key)
-    reports = []
 
     def membership(term):
-        return True, builder.satisfies_membership_characterization(H, term), {
+        return builder.satisfies_membership_characterization(H, term), lambda: {
             "term": builder.format_term(term)}
-
-    reports.append(_check_cases("rep-membership", terms, membership))
 
     def kappa_dom(b):
         k = builder.kappa(b)
         if k == inst.zero():
-            return False, True, {}
-        return True, inst.dom(k) == b.df, {"b": repr(b), "kappa": repr(k)}
-
-    reports.append(_check_cases("rep-kappa-dom", bases, kappa_dom))
+            return None
+        return inst.dom(k) == b.df, lambda: {"b": repr(b), "kappa": repr(k)}
 
     def kappa_reorder(b):
         if not b.pairs:
-            return False, True, {}
+            return None
         srcs = rng.sample(range(1, 2 * len(b.pairs) + 2), len(b.pairs))
         tgts = list(b.df)
         rng.shuffle(tgts)
@@ -389,31 +370,27 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         b_xi = NTuple.of({y: b(xi(y)) for y in xi.df})
         lhs = builder.kappa(b_xi)
         rhs = inst.act(builder.kappa(b), xi)
-        return True, lhs == rhs, {"b": repr(b), "xi": repr(xi),
-                                  "kappa(b∘xi)": repr(lhs), "kappa(b)·xi": repr(rhs)}
-
-    reports.append(_check_cases("rep-kappa-reorder", bases, kappa_reorder))
+        return lhs == rhs, lambda: {"b": repr(b), "xi": repr(xi),
+                                    "kappa(b∘xi)": repr(lhs), "kappa(b)·xi": repr(rhs)}
 
     def kappa_split(b):
         if len(b.pairs) < 2:
-            return False, True, {}
+            return None
         half = frozenset(a for a in b.rng if rng.random() < 0.5)
         s1 = subterm_closure(half)
         s2 = subterm_closure(b.rng - half)
         b1 = NTuple(tuple(p for p in b.pairs if p[1] in s1))
         b2 = NTuple(tuple(p for p in b.pairs if p[1] in s2))
         if merge(b1, b2) != b:
-            return False, True, {}
+            return None
         lhs = builder.kappa(b)
         rhs = inst.meet(builder.kappa(b1), builder.kappa(b2))
-        return True, lhs == rhs, {"b": repr(b), "b1": repr(b1), "b2": repr(b2),
-                                  "kappa(b)": repr(lhs), "meet": repr(rhs)}
-
-    reports.append(_check_cases("rep-kappa-split", bases, kappa_split))
+        return lhs == rhs, lambda: {"b": repr(b), "b1": repr(b1), "b2": repr(b2),
+                                    "kappa(b)": repr(lhs), "meet": repr(rhs)}
 
     def base_independence(b):
         if not b.pairs:
-            return False, True, {}
+            return None
         # re-evaluate through a differently-ordered base tuple with the same range
         perm = list(b.df)
         rng.shuffle(perm)
@@ -425,46 +402,36 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         rhs = inst.act(builder.kappa(b2),
                        _map_after_tuple(tuple_right_inverse(b2), t))
         if subterm_closure(t.rng) != frozenset(b.rng):
-            return False, True, {}
-        return True, lhs == rhs, {"t": repr(t), "b2": repr(b2),
-                                  "alpha(t)": repr(lhs), "via b2": repr(rhs)}
-
-    reports.append(_check_cases("rep-base-independence", bases, base_independence))
+            return None
+        return lhs == rhs, lambda: {"t": repr(t), "b2": repr(b2),
+                                    "alpha(t)": repr(lhs), "via b2": repr(rhs)}
 
     def eta_recovery(term):
         lhs = builder.alpha(eta(term))
-        return True, lhs == term.head, {"term": builder.format_term(term),
-                                        "alpha(eta)": repr(lhs)}
-
-    reports.append(_check_cases("rep-eta-recovery", terms, eta_recovery))
+        return lhs == term.head, lambda: {"term": builder.format_term(term),
+                                          "alpha(eta)": repr(lhs)}
 
     def nested_reduction(b):
         a = _closed_subtuple(b, rng)
         lhs = inst.act(builder.kappa(b), partial_identity(a.df))
         rhs = builder.kappa(a)
-        return True, lhs == rhs, {"b": repr(b), "a": repr(a),
-                                  "kappa(b)·pi": repr(lhs), "kappa(a)": repr(rhs)}
-
-    reports.append(_check_cases("rep-nested-reduction", bases, nested_reduction))
+        return lhs == rhs, lambda: {"b": repr(b), "a": repr(a),
+                                    "kappa(b)·pi": repr(lhs), "kappa(a)": repr(rhs)}
 
     def eval_via_cover(b):
         if not b.pairs:
-            return False, True, {}
+            return None
         vals = sorted(b.rng, key=term_key)
         t = NTuple.of({i + 1: rng.choice(vals)
                        for i in range(rng.randrange(0, 4))})
         lhs = builder.alpha(t)
         rhs = inst.act(builder.kappa(b),
                        _map_after_tuple(tuple_right_inverse(b), t))
-        return True, lhs == rhs, {"t": repr(t), "b": repr(b),
-                                  "alpha(t)": repr(lhs), "kappa(b)·(b^-1∘t)": repr(rhs)}
-
-    reports.append(_check_cases("rep-eval-via-cover", bases, eval_via_cover))
+        return lhs == rhs, lambda: {"t": repr(t), "b": repr(b),
+                                    "alpha(t)": repr(lhs), "kappa(b)·(b^-1∘t)": repr(rhs)}
 
     def kappa_nonzero(b):
-        return True, builder.kappa(b) != inst.zero(), {"b": repr(b)}
-
-    reports.append(_check_cases("rep-kappa-nonzero", bases, kappa_nonzero))
+        return builder.kappa(b) != inst.zero(), lambda: {"b": repr(b)}
 
     def extended_eta(term):
         closure = sorted(subterm_closure([term]), key=term_key)
@@ -477,7 +444,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
             nxt += 1
         b = NTuple.of(entries)
         if not is_base_tuple(b):
-            return False, True, {}
+            return None
         n = len(term.children)
         i_ok = inst.act(builder.kappa(b),
                         partial_identity(range(1, n + 2))) == term.head
@@ -485,31 +452,40 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         a = NTuple(tuple(p for p in b.pairs if p[1] in child_closure))
         ii_ok = inst.act(builder.kappa(b),
                          partial_identity(a.df)) == builder.kappa(a)
-        return True, i_ok and ii_ok, {"term": builder.format_term(term),
-                                      "b": repr(b), "i_ok": i_ok, "ii_ok": ii_ok}
-
-    reports.append(_check_cases("rep-extended-eta", terms, extended_eta))
+        return i_ok and ii_ok, lambda: {"term": builder.format_term(term),
+                                        "b": repr(b), "i_ok": i_ok, "ii_ok": ii_ok}
 
     def extension_witness(_):
         # alpha(t) = v·pi_{df(t)} must admit an extension with alpha = v exactly
         if not terms:
-            return False, True, {}
+            return None
         X = frozenset(x for x in range(1, 4) if rng.random() < 0.7)
         tt = NTuple.of({x: rng.choice(terms) for x in X})
         v = builder.alpha(tt)
         keep = frozenset(x for x in X if rng.random() < 0.5)
         t = NTuple(tuple(p for p in tt.pairs if p[0] in keep))
         if len(terms) ** len(X - keep) > 512:
-            return False, True, {}
+            return None
         for combo in itertools.product(terms, repeat=len(X - keep)):
             cand = merge(t, NTuple.of(dict(zip(sorted(X - keep), combo))))
             if builder.alpha(cand) == v:
-                return True, True, {}
-        return True, False, {"t": repr(t), "v": repr(v)}
+                return True, None
+        return False, lambda: {"t": repr(t), "v": repr(v)}
 
-    reports.append(_check_cases("rep-extension-witness", range(min(cfg.cases, 60)), extension_witness))
-
-    return reports
+    return [
+        run_cases("rep-membership", cfg.seed, terms, membership),
+        run_cases("rep-kappa-dom", cfg.seed, bases, kappa_dom),
+        run_cases("rep-kappa-reorder", cfg.seed, bases, kappa_reorder),
+        run_cases("rep-kappa-split", cfg.seed, bases, kappa_split),
+        run_cases("rep-base-independence", cfg.seed, bases, base_independence),
+        run_cases("rep-eta-recovery", cfg.seed, terms, eta_recovery),
+        run_cases("rep-nested-reduction", cfg.seed, bases, nested_reduction),
+        run_cases("rep-eval-via-cover", cfg.seed, bases, eval_via_cover),
+        run_cases("rep-kappa-nonzero", cfg.seed, bases, kappa_nonzero),
+        run_cases("rep-extended-eta", cfg.seed, terms, extended_eta),
+        run_cases("rep-extension-witness", cfg.seed, range(min(cfg.cases, 60)),
+                  extension_witness),
+    ]
 
 
 @dataclass

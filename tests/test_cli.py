@@ -112,6 +112,19 @@ def test_check_labeling(capsys):
         assert f"{cid}: PASS" in out
 
 
+def test_check_labeling_only(capsys):
+    assert main(["check-labeling", "--ground", "a", "--only", "L1,bogus"]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert main(["check-labeling", "--ground", "a", "--only", "L2,emb-diag",
+                 "--format", "json"]) == 0
+    ids = [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert ids == ["L2", "emb-diag"]
+    # L4 is a known id, but the quasi level does not run it
+    assert main(["check-labeling", "--ground", "a", "--only", "L4",
+                 "--level", "quasi"]) == 2
+    capsys.readouterr()
+
+
 def test_decompose(capsys):
     code = main(["decompose", "{x1->x3, x2->x3}", "--format", "json"])
     assert code == 0
@@ -132,6 +145,14 @@ def test_embed_single_atom(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "pass"
     assert data["strata_sizes"] == [0, 1, 2]
+
+
+def test_embed_reports_carry_the_seed(capsys):
+    # a report's seed replays it, so every check of the run must carry it
+    assert main(["embed", "--ground", "a", "--seed", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert any(c["id"].startswith("rep-") for c in checks)
+    assert {c["seed"] for c in checks} == {3}
 
 
 def test_embed_caps_flag(capsys):

@@ -20,6 +20,7 @@ CASES = [
     ("embed_a.json", ["embed", "--ground", "a"], 0),
     ("embed_a_b.json", ["embed", "--ground", "a,b"], 0),
     ("embed_a_depth4.json", ["embed", "--ground", "a", "--depth", "4"], 0),
+    ("embed_a_seed3.json", ["embed", "--ground", "a", "--seed", "3"], 0),
     ("check_axioms_a_b_c.json",
      ["check-axioms", "--ground", "a,b,c", "--format", "json"], 0),
     ("check_props_a_b_c.json",

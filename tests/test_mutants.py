@@ -45,3 +45,28 @@ def test_base_still_passes_other_axiom(base):
     # base algebra itself stays green
     report = check_axiom(base, "A10", SampleConfig(cases=200))
     assert report.passed
+
+
+def test_mutant_is_a_delegating_instance(base):
+    from orbsemi.mutants import MutantAlgebra
+    from orbsemi.orbital import OrbitalInstance
+
+    mutant = make_mutant("diag-top", base)
+    assert isinstance(mutant, OrbitalInstance)
+    assert mutant.mutant_id == "diag-top" and mutant.target_axiom == "A10"
+    assert mutant.ground == base.ground
+    assert mutant.diag(1, 2) == base.one()  # the replaced operation
+    assert mutant.diag(1, 1) == base.diag(1, 1)
+    assert mutant.meet(base.diag(1, 2), base.one()) == base.diag(1, 2)  # delegated
+    with pytest.raises(ValueError):
+        MutantAlgebra(base, "bad", "A1", leq=lambda b, u, v: True)
+
+
+def test_mutant_leq_sees_the_replaced_meet(base):
+    from orbsemi.mutants import MutantAlgebra
+
+    # a meet that always gives 0 leaves only 0 below anything
+    mutant = MutantAlgebra(base, "meet-zero", None, meet=lambda b, u, v: b.zero())
+    assert base.leq(base.one(), base.one())
+    assert not mutant.leq(base.one(), base.one())
+    assert mutant.leq(base.zero(), base.one())
