@@ -1,7 +1,7 @@
 import pytest
 
-from orbsemi.mutants import MUTANTS, TARGETS, make_mutant
-from orbsemi.orbital import AXIOM_IDS, SampleConfig, check_axiom
+from orbsemi.mutants import MUTANTS, TARGETS, MutantAlgebra, make_mutant
+from orbsemi.orbital import AXIOM_IDS, OrbitalInstance, SampleConfig, check_axiom
 from orbsemi.tables import TableAlgebra
 
 
@@ -48,9 +48,6 @@ def test_base_still_passes_other_axiom(base):
 
 
 def test_mutant_is_a_delegating_instance(base):
-    from orbsemi.mutants import MutantAlgebra
-    from orbsemi.orbital import OrbitalInstance
-
     mutant = make_mutant("diag-top", base)
     assert isinstance(mutant, OrbitalInstance)
     assert mutant.mutant_id == "diag-top" and mutant.target_axiom == "A10"
@@ -63,8 +60,6 @@ def test_mutant_is_a_delegating_instance(base):
 
 
 def test_mutant_leq_sees_the_replaced_meet(base):
-    from orbsemi.mutants import MutantAlgebra
-
     # a meet that always gives 0 leaves only 0 below anything
     mutant = MutantAlgebra(base, "meet-zero", None, meet=lambda b, u, v: b.zero())
     assert base.leq(base.one(), base.one())

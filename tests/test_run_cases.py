@@ -2,7 +2,12 @@
 
 import itertools
 
-from orbsemi.orbital import run_cases
+from orbsemi.labeling import check_embedding, check_labeling, singleton_labeling
+from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived, run_cases
+from orbsemi.representation import RepCaps, represent
+from orbsemi.tables import Table, TableAlgebra
+from orbsemi.transforms import FPTransform
+from orbsemi.tuples import NTuple
 
 
 def _detail_never_called():
@@ -81,13 +86,6 @@ def test_detail_only_built_on_failure():
 
 def test_passing_checks_build_no_counterexample_text(monkeypatch):
     # every family on Tab(G) passes, so no value may be rendered
-    from orbsemi.labeling import check_embedding, check_labeling, singleton_labeling
-    from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived
-    from orbsemi.representation import RepCaps, represent
-    from orbsemi.tables import Table, TableAlgebra
-    from orbsemi.transforms import FPTransform
-    from orbsemi.tuples import NTuple
-
     def no_repr(self):
         raise AssertionError(f"repr of a {type(self).__name__} on a passing run")
 
