@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--cases", type=int, default=400)
         sp.add_argument("--only", help="comma-separated check ids")
-        sp.add_argument("--all", action="store_true",
-                        help="run every check (the default)")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         if with_mutate:
             sp.add_argument("--mutate", choices=sorted(MUTANTS),

@@ -11,7 +11,7 @@ instance.  A quasi-labeling satisfies L1-L3, a full labeling additionally L4:
   L4  alpha(t) ≤ d_{z1 z2} ⇒ t(z1) = t(z2)
 
 L3's existential is decided by exhaustive witness search over G^{dom(v)};
-a configurable cap keeps the search bounded, and cap hits are reported
+a fixed cap keeps the search bounded, and cap hits are reported
 separately from failures.
 """
 
@@ -103,8 +103,12 @@ EMBEDDING_IDS = ("emb-dom", "emb-injective", "emb-meet", "emb-act", "emb-diag",
                  "emb-bounds")
 
 
+#: the largest tuple space the L3 check enumerates
+_WITNESS_CAP = 256
+
+
 def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
-                   witness_cap: int = 256, tuple_atoms=None) -> list:
+                   tuple_atoms=None) -> list:
     """Run the labeling laws; ``level`` is "quasi" (L1-L3) or "full" (adds L4).
 
     ``tuple_atoms`` restricts the atoms used to build sampled tuples; the L3
@@ -159,7 +163,7 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
             candidates = [
                 t for t in all_rows(t_atoms, X)
                 if inst.leq(alpha(t), u)
-            ] if len(t_atoms) ** len(X) <= witness_cap else []
+            ] if len(t_atoms) ** len(X) <= _WITNESS_CAP else []
             if not candidates:
                 return None
             t = rng.choice(candidates)
@@ -172,7 +176,7 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
             if not inst.leq(alpha(t), inst.act(v, partial_identity(t.df))):
                 return None
         missing = sorted(dv - t.df)
-        if len(atoms) ** len(missing) > witness_cap:
+        if len(atoms) ** len(missing) > _WITNESS_CAP:
             capped += 1
             return None
         found = any(inst.leq(alpha(merge(t, NTuple.of(dict(zip(missing, combo))))), v)
@@ -276,74 +280,46 @@ def extent_act_inclusion(alpha: Labeling, u, lam) -> bool:
     return lhs.rows <= rhs.rows
 
 
-class Equivalence:
-    """Union-find partition of a finite atom set."""
-
-    def __init__(self, atoms):
-        self.parent = {a: a for a in atoms}
-
-    def find(self, a):
-        p = self.parent[a]
-        while p != self.parent[p]:
-            p = self.parent[p]
-        # path compression
-        while self.parent[a] != p:
-            self.parent[a], a = p, self.parent[a]
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the canonically smaller atom as root
-            if atom_key(rb) < atom_key(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
+#: exchange-property spot checks that ``quotient`` draws
+_SPOT_CHECKS = 200
 
 
-def quotient(alpha: Labeling, spot_checks: int = 200, seed: int = 0,
-             window=(1, 2, 3)):
+def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
     """Collapse ground atoms whose two-column label sits below the diagonal.
 
-    Returns the equivalence and the induced labeling over the block
-    representatives.  Raises QuotientError if the computed relation is not an
-    equivalence or violates the exchange property (both only possible when
-    alpha was not a quasi-labeling).  The exchange spot checks draw tuples
-    over the variables in ``window``.
+    Returns the map from each atom to its class representative (the least
+    member in atom order) and the induced labeling over the representatives.
+    Raises QuotientError if the computed relation is not an equivalence or
+    violates the exchange property (both only possible when alpha was not a
+    quasi-labeling).  The exchange spot checks draw tuples over the variables
+    in ``window``.
     """
     inst = alpha.inst
     atoms = sorted(alpha.ground, key=atom_key)
     d12 = inst.diag(1, 2)
-
-    def related(g, h):
-        return inst.leq(alpha(NTuple.of({1: g, 2: h})), d12)
-
-    raw = {(g, h) for g in atoms for h in atoms if related(g, h)}
-    eq = Equivalence(atoms)
-    for g, h in raw:
-        eq.union(g, h)
+    related = {g: frozenset(h for h in atoms
+                            if inst.leq(alpha(NTuple.of({1: g, 2: h})), d12))
+               for g in atoms}
+    # an equivalence relates g and h exactly when they relate to the same atoms
     for g in atoms:
         for h in atoms:
-            if eq.same(g, h) != ((g, h) in raw):
+            if (h in related[g]) != (related[h] == related[g]):
                 raise QuotientError(
                     f"relation is not an equivalence at ({g}, {h}); "
                     "input was not a quasi-labeling")
 
-    rng = random.Random(seed)
-    members = {}  # class root -> its atoms, in atom order
+    members = {}  # class -> its atoms, in atom order
     for a in atoms:
-        members.setdefault(eq.find(a), []).append(a)
-    reps = sorted(members, key=atom_key)
-    for _ in range(spot_checks):
+        members.setdefault(related[a], []).append(a)
+    rng = random.Random(seed)
+    for _ in range(_SPOT_CHECKS):
         X = [x for x in window if rng.random() < 0.7]
         s = NTuple.of({x: rng.choice(atoms) for x in X})
-        t = NTuple.of({x: rng.choice(members[eq.find(s(x))]) for x in X})
+        t = NTuple.of({x: rng.choice(members[related[s(x)]]) for x in X})
         if alpha(s) != alpha(t):
             raise QuotientError(
                 f"exchange property violated on {s} vs {t}; "
                 "input was not a quasi-labeling")
 
-    quotient_alpha = Labeling(reps, inst, lambda t: alpha(t))
-    return eq, quotient_alpha
+    rep_of = {a: members[related[a]][0] for a in atoms}
+    return rep_of, Labeling(rep_of.values(), inst, lambda t: alpha(t))

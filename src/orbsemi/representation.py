@@ -14,9 +14,10 @@ import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 
-from .labeling import Labeling, check_embedding, check_labeling, extent, quotient
+from .labeling import Labeling, check_embedding, check_labeling, quotient
 from .orbital import OrbitalInstance, SampleConfig, run_cases
-from .transforms import FPTransform, partial_identity, schema_is_all
+from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
+                         schema_is_all)
 from .tuples import NTuple, atom_key, merge
 
 
@@ -130,37 +131,26 @@ def eta(term: GroundTerm) -> NTuple:
     return NTuple.of(entries)
 
 
-def _map_after_tuple(value_to_var: dict, t: NTuple) -> FPTransform:
-    """The variable transformation y ↦ f(t(y)) for a partial map f on atoms."""
-    out = {}
-    for y, a in t.pairs:
-        if a in value_to_var:
-            out[y] = value_to_var[a]
-    return FPTransform.of(out)
-
-
-def tuple_right_inverse(t: NTuple) -> dict:
-    """atom ↦ minimal variable mapped to it."""
-    out = {}
-    for y, a in t.pairs:  # sorted by variable
-        out.setdefault(a, y)
-    return out
+def _inverse_after(b: NTuple, t: NTuple) -> FPTransform:
+    """b^{-r} ∘ t: the transformation y ↦ the least variable b maps to t(y),
+    defined where t(y) lies in rng(b)."""
+    inv = {a: x for x, a in reversed(b.pairs)}  # the least x is written last
+    # t.pairs is sorted by variable, so the result is too
+    return FPTransform.trusted(tuple((y, inv[a]) for y, a in t.pairs if a in inv))
 
 
 def kappa(b: NTuple, inst: OrbitalInstance):
     """Meet over the terms in rng(b) of head · (eta^{-r} ∘ b)."""
     out = inst.one()
     for term in sorted(b.rng, key=term_key):
-        lam = _map_after_tuple(tuple_right_inverse(eta(term)), b)
-        out = inst.meet(out, inst.act(term.head, lam))
+        out = inst.meet(out, inst.act(term.head, _inverse_after(eta(term), b)))
     return out
 
 
 def alpha_tilde(t: NTuple, inst: OrbitalInstance, base: NTuple | None = None):
     """kappa(b_t) · (b_t^{-1} ∘ t); independent of the base-tuple choice."""
     b = base_tuple_for(t) if base is None else base
-    binv = tuple_right_inverse(b)  # b injective, so this is the inverse
-    return inst.act(kappa(b, inst), _map_after_tuple(binv, t))
+    return inst.act(kappa(b, inst), _inverse_after(b, t))
 
 
 @dataclass
@@ -235,11 +225,12 @@ class RepresentationBuilder:
     def alpha(self, t: NTuple):
         got = self._alpha_cache.get(t)
         if got is None:
-            b = base_tuple_for(t)
-            got = self.inst.act(
-                self.kappa(b), _map_after_tuple(tuple_right_inverse(b), t))
-            self._alpha_cache[t] = got
+            got = self._alpha_cache[t] = self.eval_via(base_tuple_for(t), t)
         return got
+
+    def eval_via(self, b: NTuple, t: NTuple):
+        """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
+        return self.inst.act(self.kappa(b), _inverse_after(b, t))
 
     def symbol_name(self, v) -> str:
         return self._symbol_names.get(v, "?")
@@ -310,8 +301,7 @@ def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) 
 # Harvested-case property checks
 
 
-def _harvest_base_tuples(builder: RepresentationBuilder, H: HSet,
-                         rng: random.Random, budget: int) -> list:
+def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
     """Base tuples over H: singletons' closures plus random multi-term closures."""
     terms = sorted(H.terms, key=term_key)
     out = [NTuple(())]
@@ -336,8 +326,7 @@ def _harvest_base_tuples(builder: RepresentationBuilder, H: HSet,
 def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
     """Astrict b to the subterm closure of a random subset of its range;
     the result is again a base tuple below b."""
-    keep = subterm_closure([a for a in b.rng if rng.random() < 0.6])
-    return NTuple(tuple(p for p in b.pairs if p[1] in keep))
+    return astrict(b, subterm_closure([a for a in b.rng if rng.random() < 0.6]))
 
 
 def harvested_checks(builder: RepresentationBuilder, H: HSet,
@@ -347,7 +336,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     The checks draw from one rng in the order of the list at the end."""
     inst = builder.inst
     rng = random.Random(cfg.seed)
-    bases = _harvest_base_tuples(builder, H, rng, budget=cfg.element_budget)
+    bases = _harvest_base_tuples(H, rng, budget=cfg.element_budget)
     terms = sorted(H.terms, key=term_key)
 
     def membership(term):
@@ -367,7 +356,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         tgts = list(b.df)
         rng.shuffle(tgts)
         xi = FPTransform.of(dict(zip(sorted(srcs), tgts)))
-        b_xi = NTuple.of({y: b(xi(y)) for y in xi.df})
+        b_xi = compose(b, xi)
         lhs = builder.kappa(b_xi)
         rhs = inst.act(builder.kappa(b), xi)
         return lhs == rhs, lambda: {"b": repr(b), "xi": repr(xi),
@@ -377,10 +366,8 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         if len(b.pairs) < 2:
             return None
         half = frozenset(a for a in b.rng if rng.random() < 0.5)
-        s1 = subterm_closure(half)
-        s2 = subterm_closure(b.rng - half)
-        b1 = NTuple(tuple(p for p in b.pairs if p[1] in s1))
-        b2 = NTuple(tuple(p for p in b.pairs if p[1] in s2))
+        b1 = astrict(b, subterm_closure(half))
+        b2 = astrict(b, subterm_closure(b.rng - half))
         if merge(b1, b2) != b:
             return None
         lhs = builder.kappa(b)
@@ -395,12 +382,11 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         perm = list(b.df)
         rng.shuffle(perm)
         xi = FPTransform.of(dict(zip(sorted(b.df), perm)))
-        b2 = NTuple.of({y: b(xi(y)) for y in xi.df})
+        b2 = compose(b, xi)
         t = NTuple.of({i + 1: rng.choice(sorted(b.rng, key=term_key))
                        for i in range(rng.randrange(1, 4))})
         lhs = builder.alpha(t)
-        rhs = inst.act(builder.kappa(b2),
-                       _map_after_tuple(tuple_right_inverse(b2), t))
+        rhs = builder.eval_via(b2, t)
         if subterm_closure(t.rng) != frozenset(b.rng):
             return None
         return lhs == rhs, lambda: {"t": repr(t), "b2": repr(b2),
@@ -425,8 +411,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         t = NTuple.of({i + 1: rng.choice(vals)
                        for i in range(rng.randrange(0, 4))})
         lhs = builder.alpha(t)
-        rhs = inst.act(builder.kappa(b),
-                       _map_after_tuple(tuple_right_inverse(b), t))
+        rhs = builder.eval_via(b, t)
         return lhs == rhs, lambda: {"t": repr(t), "b": repr(b),
                                     "alpha(t)": repr(lhs), "kappa(b)·(b^-1∘t)": repr(rhs)}
 
@@ -435,21 +420,15 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
 
     def extended_eta(term):
         closure = sorted(subterm_closure([term]), key=term_key)
-        e = eta(term)
+        e = eta(term)  # defined on x1 .. x_{n+1}
         rest = [s for s in closure if s not in e.rng]
-        entries = e.entries
-        nxt = max(entries) + 1
-        for s in rest:
-            entries[nxt] = s
-            nxt += 1
-        b = NTuple.of(entries)
+        b = NTuple(e.pairs + tuple(enumerate(rest, start=len(e.pairs) + 1)))
         if not is_base_tuple(b):
             return None
         n = len(term.children)
         i_ok = inst.act(builder.kappa(b),
                         partial_identity(range(1, n + 2))) == term.head
-        child_closure = subterm_closure(term.children)
-        a = NTuple(tuple(p for p in b.pairs if p[1] in child_closure))
+        a = astrict(b, subterm_closure(term.children))
         ii_ok = inst.act(builder.kappa(b),
                          partial_identity(a.df)) == builder.kappa(a)
         return i_ok and ii_ok, lambda: {"term": builder.format_term(term),
@@ -463,7 +442,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         tt = NTuple.of({x: rng.choice(terms) for x in X})
         v = builder.alpha(tt)
         keep = frozenset(x for x in X if rng.random() < 0.5)
-        t = NTuple(tuple(p for p in tt.pairs if p[0] in keep))
+        t = restrict(tt, keep)
         if len(terms) ** len(X - keep) > 512:
             return None
         for combo in itertools.product(terms, repeat=len(X - keep)):
@@ -530,8 +509,12 @@ class PipelineReport:
         }
 
 
+#: tuple schemas with more label combinations than this are sampled, not enumerated
+_PAIR_CAP = 4096
+
+
 def _reachable_elements(alpha_bar: Labeling, cfg: SampleConfig,
-                        rng: random.Random, pair_cap: int = 4096) -> list:
+                        rng: random.Random) -> list:
     """Distinct label values over tuples with small domains, plus the bounds."""
     inst = alpha_bar.inst
     atoms = sorted(alpha_bar.ground, key=atom_key)
@@ -539,9 +522,9 @@ def _reachable_elements(alpha_bar: Labeling, cfg: SampleConfig,
     for u in (inst.zero(), inst.one()):
         seen.setdefault(u, None)
     for X in (frozenset(), frozenset({1}), frozenset({1, 2})):
-        if len(atoms) ** len(X) > pair_cap:
+        if len(atoms) ** len(X) > _PAIR_CAP:
             combos = (tuple(rng.choice(atoms) for _ in range(len(X)))
-                      for _ in range(pair_cap // 4))
+                      for _ in range(_PAIR_CAP // 4))
         else:
             combos = itertools.product(atoms, repeat=len(X))
         for combo in combos:
@@ -581,11 +564,11 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     report.checks.extend(check_labeling(alpha, "quasi", cfg,
                                         tuple_atoms=frag_terms))
 
-    eq, alpha_bar = quotient(alpha, seed=cfg.seed, window=sorted(cfg.window))
+    rep_of, alpha_bar = quotient(alpha, seed=cfg.seed, window=sorted(cfg.window))
     report.quotient_classes = len(alpha_bar.ground)
-    # class roots are minimal in the depth-first term order, so fragment-term
-    # classes are represented by fragment-depth terms
-    frag_reps = frozenset(eq.find(t) for t in frag_terms)
+    # class representatives are minimal in the depth-first term order, so
+    # fragment-term classes are represented by fragment-depth terms
+    frag_reps = frozenset(rep_of[t] for t in frag_terms)
     report.fragment_classes = len(frag_reps)
     report.checks.extend(check_labeling(alpha_bar, "full", cfg,
                                         tuple_atoms=frag_reps))

@@ -26,17 +26,17 @@ def table_to_json(T: Table) -> dict:
     }
 
 
-def table_from_json(data: dict, ground=None) -> Table:
-    if data.get("schema") == "ALL":
-        if data.get("rows"):
-            raise ValueError("ALL-schema table must have no rows")
-        return bottom(ground if ground else {"?"})
-    cols = [parse_var(v) for v in data["schema"]]
+def _table_from_cells(names: list, cells, ground, what: str) -> Table:
+    """The table whose columns are the variables ``names`` and whose rows are
+    the lists ``cells``; ``what`` names the column list in error messages."""
+    cols = [parse_var(v) for v in names]
+    if len(set(cols)) != len(cols):
+        raise ValueError(f"{what} {names} names a variable twice")
     rows = set()
-    for raw in data["rows"]:
+    for raw in cells:
         if len(raw) != len(cols):
-            raise ValueError(f"row {raw} does not match schema {data['schema']}")
-        rows.add(NTuple.of(dict(zip(cols, (str(a) for a in raw)))))
+            raise ValueError(f"row {raw} does not match {what} {names}")
+        rows.add(NTuple.of(zip(cols, (str(a) for a in raw))))
     atoms = {a for r in rows for a in r.rng}
     if ground is not None:
         ground = frozenset(ground)
@@ -47,6 +47,14 @@ def table_from_json(data: dict, ground=None) -> Table:
     if not rows:
         return bottom(ground)
     return Table.from_rows(ground, rows)
+
+
+def table_from_json(data: dict, ground=None) -> Table:
+    if data.get("schema") == "ALL":
+        if data.get("rows"):
+            raise ValueError("ALL-schema table must have no rows")
+        return bottom(ground if ground else {"?"})
+    return _table_from_cells(data["schema"], data["rows"], ground, "schema")
 
 
 def table_to_csv(T: Table) -> str:
@@ -67,19 +75,7 @@ def table_from_csv(text: str, ground=None) -> Table:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty CSV input")
-    cols = [parse_var(h) for h in header]
-    rows = set()
-    for raw in reader:
-        if not raw:
-            continue
-        if len(raw) != len(cols):
-            raise ValueError(f"row {raw} does not match header {header}")
-        rows.add(NTuple.of(dict(zip(cols, raw))))
-    return table_from_json(
-        {"schema": [var_name(c) for c in cols],
-         "rows": [[r(c) for c in cols] for r in rows]},
-        ground=ground,
-    )
+    return _table_from_cells(header, (raw for raw in reader if raw), ground, "header")
 
 
 def load_table(path: str, ground=None) -> Table:

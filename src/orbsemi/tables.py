@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .orbital import OrbitalInstance, SampleConfig
-from .transforms import ALL, FPTransform, schema_is_all
-from .tuples import EMPTY_TUPLE, NTuple, _new, _ntuple, _set, atom_key
+from .transforms import ALL, FPTransform, _new, _set, schema_is_all
+from .tuples import EMPTY_TUPLE, NTuple, atom_key
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,6 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda seq: ()
 
 
-def schema_of(T: Table):
-    return T.schema
-
-
 def bottom(G) -> Table:
     return Table(frozenset(G), ALL, frozenset())
 
@@ -138,7 +134,7 @@ def natural_join(T1: Table, T2: Table) -> Table:
             out.add(merged(p1 + p2))
     if not out:
         return bottom(T1.ground)
-    return _table(T1.ground, T1.schema | T2.schema, map(_ntuple, out))
+    return _table(T1.ground, T1.schema | T2.schema, map(NTuple.trusted, out))
 
 
 def leq(T1: Table, T2: Table) -> bool:
@@ -149,7 +145,8 @@ def leq(T1: Table, T2: Table) -> bool:
     if not T2.rows:
         return False
     key = _picker([i for i, v in enumerate(sorted(T1.schema)) if v in T2.schema])
-    return all(_ntuple(key(r.pairs)) in T2.rows for r in T1.rows)
+    trusted = NTuple.trusted
+    return all(trusted(key(r.pairs)) in T2.rows for r in T1.rows)
 
 
 def act_table(T: Table, lam: FPTransform) -> Table:
@@ -164,7 +161,7 @@ def act_table(T: Table, lam: FPTransform) -> Table:
     for r in T.rows:
         p = r.pairs
         rows.add(tuple([(y, p[i][1]) for y, i in plan]))
-    return _table(T.ground, frozenset(y for y, _ in plan), map(_ntuple, rows))
+    return _table(T.ground, frozenset(y for y, _ in plan), map(NTuple.trusted, rows))
 
 
 def diagonal(x: int, y: int, G) -> Table:

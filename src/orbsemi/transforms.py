@@ -4,6 +4,11 @@ Variables are positive integer indices (x_i <-> i).  A transformation is a
 finite partial self-map of the variables; composition is relational, so no
 range-inside-domain requirement is imposed.  All values are immutable and
 compare structurally.
+
+Transformations and named tuples (``tuples.NTuple``) are both finite partial
+maps on the variables, so they share one core: ``PartialMap`` with its
+accessors, ``compose`` (which is also the action of a transformation on a
+tuple), ``restrict`` and ``astrict``.
 """
 
 from __future__ import annotations
@@ -74,26 +79,32 @@ def parse_var(text: str) -> int:
     return int(m.group(1))
 
 
+# bound once: the unvalidated constructor runs in the table operations' inner loops
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True)
-class FPTransform:
-    """A finite partial transformation, stored as sorted (source, target) pairs."""
+class PartialMap:
+    """A finite partial map on the variables, stored as (variable, value) pairs
+    sorted by variable.
+
+    Subclasses validate the pairs in ``__post_init__``; equality and hashing are
+    those of the dataclass, so maps of different subclasses never compare equal.
+    """
 
     pairs: tuple
 
-    def __post_init__(self):
-        seen = set()
-        last = 0
-        for s, t in self.pairs:
-            if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
-                raise ValueError(f"bad variable pair ({s}, {t})")
-            if s in seen or s < last:
-                raise ValueError("pairs must be sorted and functional")
-            seen.add(s)
-            last = s
+    @classmethod
+    def of(cls, mapping: Mapping | Iterable[tuple]):
+        return cls(tuple(sorted(dict(mapping).items())))
 
     @classmethod
-    def of(cls, mapping: Mapping[int, int] | Iterable[tuple]) -> "FPTransform":
-        return cls(tuple(sorted(dict(mapping).items())))
+    def trusted(cls, pairs: tuple):
+        """A map from pairs that are already sorted by variable and functional;
+        unlike ``cls(pairs)`` it skips the validation in ``__post_init__``."""
+        m = _new(cls)
+        _set(m, "pairs", pairs)
+        return m
 
     @property
     def mapping(self) -> dict:
@@ -107,7 +118,7 @@ class FPTransform:
     def rng(self) -> frozenset:
         return frozenset(t for _, t in self.pairs)
 
-    def __call__(self, y: int) -> int:
+    def __call__(self, y: int):
         for s, t in self.pairs:
             if s == y:
                 return t
@@ -119,11 +130,31 @@ class FPTransform:
                 return t
         return default
 
+    def is_injective(self) -> bool:
+        return len(self.rng) == len(self.pairs)
+
+
+@dataclass(frozen=True)
+class FPTransform(PartialMap):
+    """A finite partial transformation: a partial map from variables to variables."""
+
+    def __post_init__(self):
+        seen = set()
+        last = 0
+        for s, t in self.pairs:
+            if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
+                raise ValueError(f"bad variable pair ({s}, {t})")
+            if s in seen or s < last:
+                raise ValueError("pairs must be sorted and functional")
+            seen.add(s)
+            last = s
+
     def __repr__(self):
         return format_transform(self)
 
 
 EMPTY = FPTransform(())
+is_injective = PartialMap.is_injective
 
 
 def partial_identity(X: Iterable[int]) -> FPTransform:
@@ -131,26 +162,24 @@ def partial_identity(X: Iterable[int]) -> FPTransform:
     return FPTransform(tuple((x, x) for x in sorted(set(X))))
 
 
-def compose(mu: FPTransform, lam: FPTransform) -> FPTransform:
-    """Relational composition: (mu ∘ lam)(y) = mu(lam(y)) where both steps are defined."""
-    out = {}
-    mmap = mu.mapping
-    for y, z in lam.pairs:
-        if z in mmap:
-            out[y] = mmap[z]
-    return FPTransform.of(out)
+def compose(mu: PartialMap, lam: FPTransform) -> PartialMap:
+    """Relational composition: (mu ∘ lam)(y) = mu(lam(y)) where both steps are
+    defined.  For a tuple mu this is the action mu·lam."""
+    m = mu.mapping
+    # lam.pairs is sorted by source, so the result is too
+    return type(mu).trusted(tuple((y, m[z]) for y, z in lam.pairs if z in m))
 
 
-def restrict(lam: FPTransform, Z: Iterable[int]) -> FPTransform:
-    """lam|_Z = lam ∘ π_Z (keep sources inside Z)."""
-    Z = set(Z)
-    return FPTransform(tuple(p for p in lam.pairs if p[0] in Z))
+def restrict(m: PartialMap, Z: Iterable[int]) -> PartialMap:
+    """m|_Z = m ∘ π_Z (keep the variables inside Z)."""
+    Z = Z if isinstance(Z, (set, frozenset)) else set(Z)
+    return type(m).trusted(tuple(p for p in m.pairs if p[0] in Z))
 
 
-def astrict(lam: FPTransform, Z: Iterable[int]) -> FPTransform:
-    """lam|^Z = π_Z ∘ lam (keep targets inside Z)."""
-    Z = set(Z)
-    return FPTransform(tuple(p for p in lam.pairs if p[1] in Z))
+def astrict(m: PartialMap, Z) -> PartialMap:
+    """m|^Z = π_Z ∘ m (keep the pairs whose value lies in Z)."""
+    Z = Z if isinstance(Z, (set, frozenset)) else set(Z)
+    return type(m).trusted(tuple(p for p in m.pairs if p[1] in Z))
 
 
 def preimage(lam: FPTransform, Z) -> frozenset:
@@ -163,11 +192,8 @@ def preimage(lam: FPTransform, Z) -> frozenset:
 
 def right_inverse(f: FPTransform) -> FPTransform:
     """The right inverse f^{-r}: maps each z in rng(f) to the minimal-index y with f(y)=z."""
-    out = {}
-    for y, z in f.pairs:  # pairs sorted by source, so first hit is minimal
-        if z not in out:
-            out[z] = y
-    return FPTransform.of(out)
+    # pairs are sorted by source, so the minimal y is written last
+    return FPTransform.of({z: y for y, z in reversed(f.pairs)})
 
 
 def inverse(f: FPTransform) -> FPTransform:
@@ -175,10 +201,6 @@ def inverse(f: FPTransform) -> FPTransform:
     if not is_injective(f):
         raise ValueError(f"not injective: {f}")
     return FPTransform.of({z: y for y, z in f.pairs})
-
-
-def is_injective(f: FPTransform) -> bool:
-    return len(f.rng) == len(f.pairs)
 
 
 def is_partial_identity(f: FPTransform) -> bool:

@@ -5,8 +5,6 @@ import random
 import sys
 import time
 
-import pytest
-
 from orbsemi.cli import main
 from orbsemi.exprlang import eval_expr, parse, print_expr, random_expr
 from orbsemi.labeling import check_labeling, extent, singleton_labeling

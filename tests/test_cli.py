@@ -54,6 +54,13 @@ def test_eval_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_eval_rejects_a_column_named_twice(tmp_path, capsys):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("x1,x1\na,b\n")
+    assert main(["eval", "dup", "--tables", str(dup)]) == 2
+    assert "names a variable twice" in capsys.readouterr().err
+
+
 def test_check_axioms_pass(capsys):
     code = main(["check-axioms", "--ground", "a,b", "--only", "A1,A2",
                  "--cases", "60"])

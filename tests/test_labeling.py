@@ -81,9 +81,9 @@ def test_embedding_elements_override(alpha, alg):
 
 
 def test_quotient_of_singleton_is_discrete(alpha):
-    eq, alpha_bar = quotient(alpha)
+    rep_of, alpha_bar = quotient(alpha)
     assert alpha_bar.ground == G
-    assert not eq.same("a", "b")
+    assert rep_of == {"a": "a", "b": "b"}
 
 
 def test_quotient_merges_equal_behavior(alg):
@@ -96,9 +96,8 @@ def test_quotient_merges_equal_behavior(alg):
         return Table.from_rows(G3, {collapsed})
 
     alpha = Labeling(G3, alg3, label)
-    eq, alpha_bar = quotient(alpha)
-    assert eq.same("b", "c")
-    assert not eq.same("a", "b")
+    rep_of, alpha_bar = quotient(alpha)
+    assert rep_of == {"a": "a", "b": "b", "c": "b"}
     assert len(alpha_bar.ground) == 2
 
 
@@ -115,23 +114,40 @@ def test_quotient_spot_checks_use_the_callers_window(alg):
         return Table.from_rows(G3, {collapsed})
 
     alpha = Labeling(G3, alg3, label)
-    eq, _ = quotient(alpha)
-    assert eq.same("b", "c")
+    rep_of, _ = quotient(alpha)
+    assert rep_of["b"] == rep_of["c"]
     with pytest.raises(QuotientError):
         quotient(alpha, window=(1, 2, 3, 4))
 
 
-def test_quotient_rejects_non_equivalence(alg):
-    witness = NTuple.of({1: "a", 2: "b"})
+#: two-column tuples labelled with the diagonal (related) or with a table not
+#: below it (unrelated); every other tuple t is labelled {t}
+_BROKEN_RELATIONS = {
+    # (a, b) related but (b, a) is not
+    "asymmetric": ({("a", "b")}, set()),
+    # a is not related to itself
+    "non-reflexive": (set(), {("a", "a")}),
+    # a ~ b and b ~ c, but not a ~ c
+    "non-transitive": ({("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
+def test_quotient_rejects_non_equivalence(case):
+    related, unrelated = _BROKEN_RELATIONS[case]
+    G3 = frozenset({"a", "b", "c"})
+    alg3 = TableAlgebra(G3)
+    off_diagonal = Table.from_rows(G3, {NTuple.of({1: "a", 2: "b"})})
 
     def broken(t):
-        if t == witness:  # asymmetric: (a, b) related but (b, a) is not
-            return alg.diag(1, 2)
-        return Table.from_rows(G, {t})
+        if t.df == {1, 2} and (t(1), t(2)) in related:
+            return alg3.diag(1, 2)
+        if t.df == {1, 2} and (t(1), t(2)) in unrelated:
+            return off_diagonal
+        return Table.from_rows(G3, {t})
 
-    alpha = Labeling(G, alg, broken)
-    with pytest.raises(QuotientError):
-        quotient(alpha)
+    with pytest.raises(QuotientError, match="not an equivalence"):
+        quotient(Labeling(G3, alg3, broken))
 
 
 def test_quotient_rejects_exchange_violation(alg):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (
     GroundTerm,
-    HSet,
     RepCaps,
     RepresentationBuilder,
     alpha_tilde,

@@ -53,6 +53,13 @@ def test_csv_empty_rejected():
         table_from_csv("")
 
 
+def test_variable_named_twice_rejected():
+    with pytest.raises(ValueError, match="names a variable twice"):
+        table_from_csv("x1,x2,x1\na,b,a\n")
+    with pytest.raises(ValueError, match="names a variable twice"):
+        table_from_json({"schema": ["x2", "x2"], "rows": [["a", "a"]]})
+
+
 def test_ground_validation():
     with pytest.raises(ValueError):
         table_from_json({"schema": ["x1"], "rows": [["z"]]}, ground=G)

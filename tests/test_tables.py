@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,14 +11,12 @@ from orbsemi.tables import (
     enumerate_tables,
     leq,
     natural_join,
-    schema_of,
     subsets,
     top,
 )
 from orbsemi.transforms import (
     ALL,
     FPTransform,
-    all_transforms,
     compose,
     partial_identity,
     preimage,
@@ -58,9 +54,9 @@ small_tables = st.builds(
 
 
 def test_schema_of():
-    assert schema_of(T({1: "a"})) == {1}
-    assert schema_is_all(schema_of(bottom(G)))
-    assert schema_of(top(G)) == frozenset()
+    assert T({1: "a"}).schema == {1}
+    assert schema_is_all(bottom(G).schema)
+    assert top(G).schema == frozenset()
 
 
 def test_table_invariants():
