@@ -21,6 +21,9 @@ CASES = [
     ("embed_a_b.json", ["embed", "--ground", "a,b"], 0),
     ("embed_a_depth4.json", ["embed", "--ground", "a", "--depth", "4"], 0),
     ("embed_a_seed3.json", ["embed", "--ground", "a", "--seed", "3"], 0),
+    # the whole two-atom signature: 60 terms in 33 classes, tables of many rows
+    ("embed_a_b_symbols300.json",
+     ["embed", "--ground", "a,b", "--caps", "symbols=300", "--format", "json"], 0),
     ("check_axioms_a_b_c.json",
      ["check-axioms", "--ground", "a,b,c", "--format", "json"], 0),
     ("check_props_a_b_c.json",
