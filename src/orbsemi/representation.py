@@ -25,11 +25,11 @@ class GroundTerm:
     """A term v t1...tn whose head is an instance element of matching arity.
 
     Immutable.  The hash (that of ``(head, children)``) and the depth are
-    computed once at construction and the sort key once on first use, so
-    none of them walks the subtree again.
+    computed once at construction, the sort key and the subterm closure once
+    on first use, so none of them walks the subtree again.
     """
 
-    __slots__ = ("head", "children", "depth", "_hash", "_sort_key")
+    __slots__ = ("head", "children", "depth", "_hash", "_sort_key", "_subterms")
 
     def __init__(self, head, children: tuple = ()):
         init = object.__setattr__
@@ -38,6 +38,7 @@ class GroundTerm:
         init(self, "depth", 1 + max((c.depth for c in children), default=0))
         init(self, "_hash", hash((head, children)))
         init(self, "_sort_key", None)
+        init(self, "_subterms", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -68,6 +69,14 @@ class GroundTerm:
                    tuple(c.sort_key() for c in self.children))
             object.__setattr__(self, "_sort_key", key)
         return key
+
+    def subterms(self) -> frozenset:
+        """The subterm closure of {self}."""
+        out = self._subterms
+        if out is None:
+            out = frozenset({self}).union(*(c.subterms() for c in self.children))
+            object.__setattr__(self, "_subterms", out)
+        return out
 
     def __repr__(self):
         if not self.children:
@@ -188,13 +197,21 @@ class HSet:
 
 class RepresentationBuilder:
     """Stateful driver: signature enumeration, memoized evaluation maps, and
-    the stratified fixpoint loop for H."""
+    the stratified fixpoint loop for H.
+
+    The builder calls the instance's ``meet``, ``act`` and ``one`` through
+    one memo, so each distinct operation is computed once per builder; this
+    relies on them being pure (see ``OrbitalInstance``).  ``kappa`` and
+    ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo,
+    cached per argument."""
 
     def __init__(self, inst: OrbitalInstance, caps: RepCaps | None = None):
         self.inst = inst
         self.caps = caps or RepCaps()
         self._kappa_cache = {}
         self._alpha_cache = {}
+        self._ops = {}  # (operation, *args) -> the instance's result
+        self._eta_inverses = {}  # term -> ((value, least variable of eta(term)), ...)
         self.symbols, self.symbols_truncated = self._enumerate_symbols()
         self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
 
@@ -216,21 +233,54 @@ class RepresentationBuilder:
                 break
         return out, truncated
 
+    def _op(self, name, *args):
+        """``self.inst.<name>(*args)``, computed once per distinct arguments."""
+        key = (name, *args)
+        got = self._ops.get(key)
+        if got is None:
+            got = self._ops[key] = getattr(self.inst, name)(*args)
+        return got
+
+    def _eta_inverse(self, term: GroundTerm) -> tuple:
+        got = self._eta_inverses.get(term)
+        if got is None:
+            inv = {a: x for x, a in reversed(eta(term).pairs)}  # least x last
+            got = self._eta_inverses[term] = tuple(inv.items())
+        return got
+
     def kappa(self, b: NTuple):
         got = self._kappa_cache.get(b)
         if got is None:
-            got = self._kappa_cache[b] = kappa(b, self.inst)
+            got = self._kappa_cache[b] = self._kappa(b)
         return got
+
+    def _kappa(self, b: NTuple):
+        """The free ``kappa(b, inst)``, with b inverted once: each term's
+        eta^{-r} ∘ b comes from the variables b sends to eta(term)'s values."""
+        at = {}  # term -> the variables b maps to it
+        for y, a in b.pairs:
+            at.setdefault(a, []).append(y)
+        out = self._op("one")
+        for term in sorted(at, key=term_key):
+            lam = sorted((y, x) for a, x in self._eta_inverse(term) for y in at.get(a, ()))
+            out = self._op("meet", out,
+                           self._op("act", term.head, FPTransform.trusted(tuple(lam))))
+        return out
 
     def alpha(self, t: NTuple):
         got = self._alpha_cache.get(t)
         if got is None:
-            got = self._alpha_cache[t] = self.eval_via(base_tuple_for(t), t)
+            got = self._alpha_cache[t] = self.eval_via(self._base_tuple(t), t)
         return got
+
+    def _base_tuple(self, t: NTuple) -> NTuple:
+        """``base_tuple_for(t)`` from the terms' cached subterm closures."""
+        closure = frozenset().union(*(a.subterms() for _, a in t.pairs))
+        return NTuple.trusted(tuple(enumerate(sorted(closure, key=term_key), start=1)))
 
     def eval_via(self, b: NTuple, t: NTuple):
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
-        return self.inst.act(self.kappa(b), _inverse_after(b, t))
+        return self._op("act", self.kappa(b), _inverse_after(b, t))
 
     def symbol_name(self, v) -> str:
         return self._symbol_names.get(v, "?")
@@ -244,7 +294,7 @@ class RepresentationBuilder:
     def admissible(self, v, children: tuple) -> bool:
         """The stratum admission condition: v·π_{x1..xn} = alpha(<x1:t1,...>)."""
         n = len(children)
-        lhs = self.inst.act(v, partial_identity(range(1, n + 1)))
+        lhs = self._op("act", v, partial_identity(range(1, n + 1)))
         rhs = self.alpha(NTuple.of({i + 1: c for i, c in enumerate(children)}))
         return lhs == rhs
 
