@@ -376,14 +376,17 @@ def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
 def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
     """Astrict b to the subterm closure of a random subset of its range;
     the result is again a base tuple below b."""
-    return astrict(b, subterm_closure([a for a in b.rng if rng.random() < 0.6]))
+    kept = [a for a in sorted(b.rng, key=term_key) if rng.random() < 0.6]
+    return astrict(b, subterm_closure(kept))
 
 
 def harvested_checks(builder: RepresentationBuilder, H: HSet,
                      cfg: SampleConfig) -> list:
     """The property suite over base tuples and terms harvested from H.
 
-    The checks draw from one rng in the order of the list at the end."""
+    The checks draw from one rng in the order of the list at the end.  Draws
+    over a set of terms walk it in term order, so the cases do not depend on
+    the process's string-hash seed."""
     inst = builder.inst
     rng = random.Random(cfg.seed)
     bases = _harvest_base_tuples(H, rng, budget=cfg.element_budget)
@@ -415,7 +418,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     def kappa_split(b):
         if len(b.pairs) < 2:
             return None
-        half = frozenset(a for a in b.rng if rng.random() < 0.5)
+        half = frozenset(a for a in sorted(b.rng, key=term_key) if rng.random() < 0.5)
         b1 = astrict(b, subterm_closure(half))
         b2 = astrict(b, subterm_closure(b.rng - half))
         if merge(b1, b2) != b:

@@ -229,6 +229,13 @@ def test_ground_term_cached_fields_match_reference(spec):
     assert term_key(t) == t.sort_key()
 
 
+@given(_term_specs(5))
+def test_ground_term_subterms_match_subterm_closure(spec):
+    t = _build(spec)
+    assert t.subterms() == subterm_closure([t])
+    assert t.subterms() is t.subterms()
+
+
 @given(_term_specs(5), _term_specs(5))
 def test_ground_term_structural_equality_and_hash(spec1, spec2):
     t1, again = _build(spec1), _build(spec1)
