@@ -97,6 +97,11 @@ class OrbitalInstance(ABC):
     Elements are opaque hashable values with structural equality.  ``dom``
     returns either a finite frozenset of variable indices or the ALL marker
     (only for the bottom element).
+
+    ``meet``, ``act``, ``diag``, ``zero``, ``one`` and ``dom`` must be pure
+    functions of their arguments: equal arguments give equal results, and a
+    call changes no later one.  The representation construction computes
+    each distinct operation only once and relies on this.
     """
 
     @abstractmethod
