@@ -13,6 +13,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage or IO error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ from .transforms import compose, format_transform, is_folding, is_injective
 from .transforms import is_partial_identity, parse_transform
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     p = argparse.ArgumentParser(prog="orbsemi")
     sub = p.add_subparsers(dest="command", required=True)
 

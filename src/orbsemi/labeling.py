@@ -272,14 +272,6 @@ def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
     ]
 
 
-def extent_act_inclusion(alpha: Labeling, u, lam) -> bool:
-    """The unconditional inclusion ext(u)·lam ⊆ ext(u·lam) (holds for any
-    labeling, surjective or not)."""
-    lhs = act_table(extent(alpha, u), lam)
-    rhs = extent(alpha, alpha.inst.act(u, lam))
-    return lhs.rows <= rhs.rows
-
-
 #: exchange-property spot checks that ``quotient`` draws
 _SPOT_CHECKS = 200
 

@@ -12,10 +12,19 @@ checks that every referenced table has the expression's ground set.  The
 results of table operations (join, right multiplication, the order test) are
 built from rows of valid operands by column position and are not validated
 again.
+
+Schema-only work is done once.  ``TableAlgebra`` builds ``zero()`` and
+``one()`` in its constructor and each ``diag(x, y)`` on first use, in a dict
+on the instance keyed by ``(x, y)``, and returns the same table every time;
+the free functions ``bottom``, ``top`` and ``diagonal`` build fresh tables.
+The column plans live in LRU caches of ``PLAN_CACHE_SIZE`` entries each, keyed
+by the two schemas after the smaller-operand swap (``natural_join``), the two
+schemas (``leq``), and the schema and ``lam.pairs`` (``act_table``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -82,6 +91,11 @@ def _table(ground: frozenset, schema: frozenset, rows) -> Table:
     return T
 
 
+#: entries in each plan cache (``represent`` acts with thousands of transformations)
+PLAN_CACHE_SIZE = 512
+_plan_cache = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+
+
 def _picker(positions):
     """The function taking a sequence to the tuple of its items at ``positions``."""
     if len(positions) == 1:
@@ -114,16 +128,7 @@ def natural_join(T1: Table, T2: Table) -> Table:
         return T1
     if len(T2.rows) < len(T1.rows):
         T1, T2 = T2, T1
-    # every row of a table has its pairs at the same positions, sorted by
-    # variable; rows match on the pairs at the shared variables, and a merged
-    # row picks its sorted pairs out of r1.pairs + r2.pairs
-    cols1, cols2 = sorted(T1.schema), sorted(T2.schema)
-    key1 = _picker([i for i, v in enumerate(cols1) if v in T2.schema])
-    key2 = _picker([i for i, v in enumerate(cols2) if v in T1.schema])
-    where = {v: i for i, v in enumerate(cols1)}
-    for i, v in enumerate(cols2):
-        where.setdefault(v, len(cols1) + i)
-    merged = _picker([where[v] for v in sorted(where)])
+    key1, key2, merged, schema = _join_plan(T1.schema, T2.schema)
     buckets = {}
     for r in T2.rows:
         buckets.setdefault(key2(r.pairs), []).append(r.pairs)
@@ -134,7 +139,23 @@ def natural_join(T1: Table, T2: Table) -> Table:
             out.add(merged(p1 + p2))
     if not out:
         return bottom(T1.ground)
-    return _table(T1.ground, T1.schema | T2.schema, map(NTuple.trusted, out))
+    return _table(T1.ground, schema, map(NTuple.trusted, out))
+
+
+@_plan_cache
+def _join_plan(s1: frozenset, s2: frozenset):
+    """The key pickers of both operands, the merged-row picker and the union
+    schema of a join of tables over s1 and s2."""
+    # every row of a table has its pairs at the same positions, sorted by
+    # variable; rows match on the pairs at the shared variables, and a merged
+    # row picks its sorted pairs out of r1.pairs + r2.pairs
+    cols1, cols2 = sorted(s1), sorted(s2)
+    key1 = _picker([i for i, v in enumerate(cols1) if v in s2])
+    key2 = _picker([i for i, v in enumerate(cols2) if v in s1])
+    where = {v: i for i, v in enumerate(cols1)}
+    for i, v in enumerate(cols2):
+        where.setdefault(v, len(cols1) + i)
+    return key1, key2, _picker([where[v] for v in sorted(where)]), s1 | s2
 
 
 def leq(T1: Table, T2: Table) -> bool:
@@ -144,24 +165,38 @@ def leq(T1: Table, T2: Table) -> bool:
         return True
     if not T2.rows:
         return False
-    key = _picker([i for i, v in enumerate(sorted(T1.schema)) if v in T2.schema])
+    key = _leq_plan(T1.schema, T2.schema)
     trusted = NTuple.trusted
     return all(trusted(key(r.pairs)) in T2.rows for r in T1.rows)
+
+
+@_plan_cache
+def _leq_plan(s1: frozenset, s2: frozenset):
+    """The picker of a row over s1's pairs at the variables of s2."""
+    return _picker([i for i, v in enumerate(sorted(s1)) if v in s2])
 
 
 def act_table(T: Table, lam: FPTransform) -> Table:
     """Rowwise right multiplication T·lam."""
     if not T.rows:
         return bottom(T.ground)
-    # (t ∘ lam)(y) = t(lam(y)): the row's atom at lam(y)'s column, for each y
-    # in the lam-preimage of the schema (lam.pairs is sorted by source)
-    pos = {v: i for i, v in enumerate(sorted(T.schema))}
-    plan = [(y, pos[z]) for y, z in lam.pairs if z in pos]
+    plan, schema = _act_plan(T.schema, lam.pairs)
     rows = set()
     for r in T.rows:
         p = r.pairs
         rows.add(tuple([(y, p[i][1]) for y, i in plan]))
-    return _table(T.ground, frozenset(y for y, _ in plan), map(NTuple.trusted, rows))
+    return _table(T.ground, schema, map(NTuple.trusted, rows))
+
+
+@_plan_cache
+def _act_plan(schema: frozenset, lam_pairs: tuple):
+    """The (target, column) pairs and the result schema of right multiplying
+    a table over ``schema`` by the transformation with pairs ``lam_pairs``."""
+    # (t ∘ lam)(y) = t(lam(y)): the row's atom at lam(y)'s column, for each y
+    # in the lam-preimage of the schema (lam.pairs is sorted by source)
+    pos = {v: i for i, v in enumerate(sorted(schema))}
+    plan = tuple((y, pos[z]) for y, z in lam_pairs if z in pos)
+    return plan, frozenset(y for y, _ in plan)
 
 
 def diagonal(x: int, y: int, G) -> Table:
@@ -173,10 +208,12 @@ def diagonal(x: int, y: int, G) -> Table:
 
 def all_rows(G, X):
     """All named tuples with domain of definition X and values in G."""
-    cols = sorted(X)
+    # the columns are sorted and distinct, so the pairs need no validation
+    cols = sorted(set(X))
     atoms = sorted(G, key=atom_key)
+    trusted = NTuple.trusted
     for combo in itertools.product(atoms, repeat=len(cols)):
-        yield NTuple.of(dict(zip(cols, combo)))
+        yield trusted(tuple(zip(cols, combo)))
 
 
 def tables_with_schema(G, X):
@@ -211,6 +248,8 @@ class TableAlgebra(OrbitalInstance):
         if not ground:
             raise ValueError("ground set must be nonempty")
         self.ground = ground
+        self._zero, self._one = bottom(ground), top(ground)
+        self._diags = {}
         self._pool_cores = {}
 
     def __repr__(self):
@@ -221,16 +260,19 @@ class TableAlgebra(OrbitalInstance):
         return natural_join(u, v)
 
     def zero(self):
-        return bottom(self.ground)
+        return self._zero
 
     def one(self):
-        return top(self.ground)
+        return self._one
 
     def act(self, u, lam):
         return act_table(u, lam)
 
     def diag(self, x, y):
-        return diagonal(x, y, self.ground)
+        d = self._diags.get((x, y))
+        if d is None:
+            d = self._diags[x, y] = diagonal(x, y, self.ground)
+        return d
 
     def dom(self, u):
         return u.schema

@@ -6,7 +6,7 @@ import sys
 import time
 
 from orbsemi.cli import main
-from orbsemi.exprlang import eval_expr, parse, print_expr, random_expr
+from orbsemi.exprlang import eval_expr, parse, print_expr
 from orbsemi.labeling import check_labeling, extent, singleton_labeling
 from orbsemi.mutants import TARGETS, make_mutant
 from orbsemi.orbital import (
@@ -38,6 +38,8 @@ from orbsemi.transforms import (
     partial_identity,
 )
 from orbsemi.tuples import NTuple
+
+from exprgen import random_expr
 
 
 def report(name: str, ok: bool, detail: str = ""):

@@ -15,11 +15,12 @@ from orbsemi.exprlang import (
     eval_expr,
     parse,
     print_expr,
-    random_expr,
 )
 from orbsemi.tables import Table, bottom, natural_join, top
 from orbsemi.transforms import FPTransform, partial_identity
 from orbsemi.tuples import NTuple
+
+from exprgen import random_expr
 
 G = frozenset({"a", "b"})
 
