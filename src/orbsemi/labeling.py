@@ -21,8 +21,8 @@ import functools
 import itertools
 import random
 
-from .orbital import (OrbitalInstance, SampleConfig, _random_subset, _transform_pool,
-                      run_cases)
+from .orbital import (ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _random_subset,
+                      _transform_pool, run_cases)
 from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
@@ -74,8 +74,6 @@ def extent(alpha: Labeling, u) -> Table:
         t for t in all_rows(alpha.ground, du)
         if inst.dom(alpha(t)) == du and inst.leq(alpha(t), u)
     ]
-    if not rows:
-        return bottom(alpha.ground)
     return Table.from_rows(alpha.ground, rows)
 
 
@@ -87,11 +85,11 @@ def _sample_tuples(alpha: Labeling, cfg: SampleConfig, rng: random.Random,
     window = sorted(cfg.window)
     pool = [NTuple(())]
     small = [X for X in subsets(window) if 1 <= len(X) <= 2]
-    budgeted = sum(len(atoms) ** len(X) for X in small) <= 4 * cfg.element_budget
+    budgeted = sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET
     if budgeted:
         for X in small:
             pool.extend(all_rows(atoms, X))
-    while len(pool) < cfg.element_budget:
+    while len(pool) < ELEMENT_BUDGET:
         X = [x for x in window if rng.random() < 0.6]
         pool.append(NTuple.of({x: rng.choice(atoms) for x in X}))
     return pool
@@ -292,17 +290,19 @@ def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
     related = {g: frozenset(h for h in atoms
                             if inst.leq(alpha(NTuple.of({1: g, 2: h})), d12))
                for g in atoms}
-    # an equivalence relates g and h exactly when they relate to the same atoms
-    for g in atoms:
-        for h in atoms:
-            if (h in related[g]) != (related[h] == related[g]):
-                raise QuotientError(
-                    f"relation is not an equivalence at ({g}, {h}); "
-                    "input was not a quasi-labeling")
-
     members = {}  # class -> its atoms, in atom order
     for a in atoms:
         members.setdefault(related[a], []).append(a)
+    # an equivalence fails at (g, h) exactly for h in R(g) Δ members[R(g)];
+    # the classes come in the order of their least atoms
+    for cls, group in members.items():
+        wrong = cls.symmetric_difference(group)
+        if wrong:
+            h = next(h for h in atoms if h in wrong)
+            raise QuotientError(
+                f"relation is not an equivalence at ({group[0]}, {h}); "
+                "input was not a quasi-labeling")
+
     rng = random.Random(seed)
     for _ in range(_SPOT_CHECKS):
         X = [x for x in window if rng.random() < 0.7]
@@ -314,4 +314,4 @@ def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
                 "input was not a quasi-labeling")
 
     rep_of = {a: members[related[a]][0] for a in atoms}
-    return rep_of, Labeling(rep_of.values(), inst, lambda t: alpha(t))
+    return rep_of, Labeling(rep_of.values(), inst, alpha)

@@ -33,20 +33,23 @@ from .transforms import (
 )
 
 
+#: sizes of the sampled element, tuple and base-tuple pools, and of the transformation pool
+ELEMENT_BUDGET = 40
+TRANSFORM_BUDGET = 64
+
+
 @dataclass
 class SampleConfig:
     """Budgets for a bounded check run."""
 
     var_window: int = 3
-    element_budget: int = 40
-    transform_budget: int = 64
     seed: int = 0
     cases: int = 400
 
     def __post_init__(self):
         if self.var_window < 2:
             raise ValueError("var_window must be >= 2")
-        if self.element_budget < 1 or self.transform_budget < 1 or self.cases < 1:
+        if self.cases < 1:
             raise ValueError("budgets must be >= 1")
 
     @property
@@ -67,25 +70,23 @@ class CheckReport:
     seed: int = 0
     notes: dict = field(default_factory=dict)
 
+    @property
+    def status(self) -> str:
+        return ("vacuous" if self.vacuous else "pass") if self.passed else "fail"
+
     def to_json(self) -> dict:
-        status = "pass" if self.passed else "fail"
-        if self.passed and self.vacuous:
-            status = "vacuous"
         return {
             "id": self.check_id,
             "cases": self.cases_run,
             "applicable": self.cases_applicable,
-            "status": status,
+            "status": self.status,
             "seed": self.seed,
             "counterexample": self.counterexample,
             "notes": self.notes,
         }
 
     def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        if self.passed and self.vacuous:
-            status = "VACUOUS"
-        line = f"{self.check_id}: {status} ({self.cases_applicable}/{self.cases_run} applicable cases)"
+        line = f"{self.check_id}: {self.status.upper()} ({self.cases_applicable}/{self.cases_run} applicable cases)"
         if self.counterexample:
             line += f"\n  counterexample: {self.counterexample}"
         return line
@@ -129,10 +130,10 @@ class OrbitalInstance(ABC):
     def element_pool(self, cfg: SampleConfig, rng: random.Random) -> list:
         """Deterministic element pool: exhaustive core plus sampled extras."""
 
+    @abstractmethod
     def elements_with_schema(self, X: frozenset):
         """Enumerate elements u with dom(u) = X (needed by the representation
-        construction); optional for abstract instances."""
-        raise NotImplementedError
+        construction)."""
 
 
 def e_diag(inst: OrbitalInstance, delta: FPTransform):
@@ -156,10 +157,10 @@ def _random_subset(rng: random.Random, items, p: float = 0.5) -> frozenset:
 def _transform_pool(cfg: SampleConfig, rng: random.Random) -> list:
     window = sorted(cfg.window)
     total = (len(window) + 1) ** len(window)
-    if total <= max(cfg.transform_budget, 130):
+    if total <= max(TRANSFORM_BUDGET, 130):
         return list(all_transforms(window, window))
     pool = [EMPTY, partial_identity(window)]
-    while len(pool) < cfg.transform_budget:
+    while len(pool) < TRANSFORM_BUDGET:
         pool.append(_random_transform(rng, window))
     return pool
 
@@ -172,10 +173,9 @@ def _random_transform(rng: random.Random, window) -> FPTransform:
     return FPTransform.of(out)
 
 
-def _random_folding(rng: random.Random, window) -> FPTransform:
-    """A folding on the window: identity on a retract R, everything else in
-    df mapped into R."""
-    window = sorted(window)
+def _random_folding(rng: random.Random, window: list) -> FPTransform:
+    """A folding on the sorted window: identity on a retract R, everything
+    else in df mapped into R."""
     retract = [x for x in window if rng.random() < 0.5]
     if not retract:
         return EMPTY
@@ -194,8 +194,7 @@ def _folding_onto(rng: random.Random, df: frozenset, retract: frozenset) -> FPTr
     return FPTransform.of(out)
 
 
-def _random_injection(rng: random.Random, window) -> FPTransform:
-    window = sorted(window)
+def _random_injection(rng: random.Random, window: list) -> FPTransform:
     if rng.random() < 0.5:
         srcs = list(window)  # full permutation keeps the range condition easy to hit
     else:
@@ -210,9 +209,8 @@ class _Case:
 
     inst: OrbitalInstance
     rng: random.Random
-    window: frozenset
+    window: list  # sorted
     elements: list
-    transforms: list
     u: object = None
     v: object = None
     lam: FPTransform = EMPTY
@@ -235,9 +233,8 @@ class _Case:
         return d
 
 
-def _draw_case(inst, cfg, rng, elements, transforms, index) -> _Case:
-    window = sorted(cfg.window)
-    c = _Case(inst, rng, cfg.window, elements, transforms)
+def _draw_case(inst, window, rng, elements, transforms, index) -> _Case:
+    c = _Case(inst, rng, window, elements)
     c.u = elements[index] if index < len(elements) else rng.choice(elements)
     c.v = rng.choice(elements)
     c.lam = rng.choice(transforms)
@@ -454,7 +451,7 @@ def _drv_order_via_dom_projection(c: _Case):
 
 def _drv_injective_act_meet(c: _Case):
     inst = c.inst
-    lam = _random_injection(c.rng, sorted(c.window))
+    lam = _random_injection(c.rng, c.window)
     if not is_injective(lam):
         return None
     n = c.rng.randrange(0, 4)
@@ -484,9 +481,8 @@ def _drv_diag_rename_single(c: _Case):
 
 def _drv_diag_rename_pair(c: _Case):
     inst = c.inst
-    window = sorted(c.window)
-    z1, z2 = c.rng.sample(window, 2)
-    y1, y2 = c.rng.sample(window, 2)
+    z1, z2 = c.rng.sample(c.window, 2)
+    y1, y2 = c.rng.sample(c.window, 2)
     lam = FPTransform.of({y1: z1, y2: z2})
     lhs = inst.act(inst.diag(z1, z2), lam)
     rhs = inst.diag(y1, y2)
@@ -503,10 +499,10 @@ def _drv_folding_below_diagonal(c: _Case):
     inst = c.inst
     dv = inst.dom(c.v)
     if schema_is_all(dv):
-        delta = _random_folding(c.rng, sorted(c.window))
+        delta = _random_folding(c.rng, c.window)
     else:
         retract = frozenset(x for x in dv if c.rng.random() < 0.7)
-        df = retract | _random_subset(c.rng, sorted(c.window))
+        df = retract | _random_subset(c.rng, c.window)
         if not retract:
             delta = EMPTY
         else:
@@ -606,7 +602,8 @@ def _run_check(inst, check_id, body, cfg: SampleConfig) -> CheckReport:
     rng = random.Random(cfg.seed)
     elements = inst.element_pool(cfg, rng)
     transforms = _transform_pool(cfg, rng)
-    cases = (_draw_case(inst, cfg, rng, elements, transforms, i)
+    window = sorted(cfg.window)
+    cases = (_draw_case(inst, window, rng, elements, transforms, i)
              for i in range(max(cfg.cases, len(elements))))
 
     def described(case):

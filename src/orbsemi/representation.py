@@ -15,7 +15,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 from .labeling import Labeling, check_embedding, check_labeling, quotient
-from .orbital import OrbitalInstance, SampleConfig, run_cases
+from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, run_cases
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
 from .tuples import NTuple, atom_key, merge
@@ -107,14 +107,7 @@ def arity(inst: OrbitalInstance, v):
 
 
 def subterm_closure(terms) -> frozenset:
-    out = set()
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if t not in out:
-            out.add(t)
-            stack.extend(t.children)
-    return frozenset(out)
+    return frozenset().union(*(t.subterms() for t in terms))
 
 
 def is_subterm_closed(terms) -> bool:
@@ -130,7 +123,7 @@ def base_tuple_for(t: NTuple) -> NTuple:
     """The canonical base tuple covering t: the subterm closure of its range,
     enumerated in term order and assigned to x1, x2, ..."""
     ordered = sorted(subterm_closure(t.rng), key=term_key)
-    return NTuple.of({i + 1: term for i, term in enumerate(ordered)})
+    return NTuple.trusted(tuple(enumerate(ordered, start=1)))
 
 
 def eta(term: GroundTerm) -> NTuple:
@@ -182,7 +175,6 @@ class HSet:
     """Strata H^(0) ⊆ H^(1) ⊆ ... of admissible terms, with truncation flags."""
 
     strata: list
-    symbols: list
     symbols_truncated: bool = False
     stratum_truncated: bool = False
 
@@ -220,11 +212,7 @@ class RepresentationBuilder:
         truncated = False
         for width in range(1, self.caps.max_symbol_vars + 1):
             X = frozenset(range(1, width + 1))
-            try:
-                candidates = self.inst.elements_with_schema(X)
-            except NotImplementedError:
-                break
-            for v in candidates:
+            for v in self.inst.elements_with_schema(X):
                 if len(out) >= self.caps.max_symbols:
                     truncated = True
                     break
@@ -270,13 +258,8 @@ class RepresentationBuilder:
     def alpha(self, t: NTuple):
         got = self._alpha_cache.get(t)
         if got is None:
-            got = self._alpha_cache[t] = self.eval_via(self._base_tuple(t), t)
+            got = self._alpha_cache[t] = self.eval_via(base_tuple_for(t), t)
         return got
-
-    def _base_tuple(self, t: NTuple) -> NTuple:
-        """``base_tuple_for(t)`` from the terms' cached subterm closures."""
-        closure = frozenset().union(*(a.subterms() for _, a in t.pairs))
-        return NTuple.trusted(tuple(enumerate(sorted(closure, key=term_key), start=1)))
 
     def eval_via(self, b: NTuple, t: NTuple):
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
@@ -304,8 +287,8 @@ class RepresentationBuilder:
         current = set()
         for _ in range(self.caps.depth):
             admitted = []
+            pool = sorted(current, key=term_key)
             for v, n in self.symbols:
-                pool = sorted(current, key=term_key)
                 for combo in itertools.permutations(pool, n):
                     term = GroundTerm(v, combo)
                     if term in current:
@@ -319,8 +302,7 @@ class RepresentationBuilder:
                 stratum_truncated = True
             current = set(current) | set(admitted)
             strata.append(frozenset(current))
-        return HSet(strata=strata, symbols=self.symbols,
-                    symbols_truncated=self.symbols_truncated,
+        return HSet(strata=strata, symbols_truncated=self.symbols_truncated,
                     stratum_truncated=stratum_truncated)
 
     def satisfies_membership_characterization(self, H: HSet, term: GroundTerm) -> bool:
@@ -389,7 +371,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     the process's string-hash seed."""
     inst = builder.inst
     rng = random.Random(cfg.seed)
-    bases = _harvest_base_tuples(H, rng, budget=cfg.element_budget)
+    bases = _harvest_base_tuples(H, rng, budget=ELEMENT_BUDGET)
     terms = sorted(H.terms, key=term_key)
 
     def membership(term):
@@ -632,11 +614,8 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     report.reachable_count = len(reachable)
     report.checks.extend(check_embedding(alpha_frag, cfg, elements=reachable))
 
-    try:
-        pool = inst.element_pool(cfg, rng)
-        reach = set(reachable)
-        hit = sum(1 for u in pool if u in reach)
-        report.coverage = hit / len(pool) if pool else 0.0
-    except NotImplementedError:
-        report.coverage = 0.0
+    pool = inst.element_pool(cfg, rng)
+    reach = set(reachable)
+    hit = sum(1 for u in pool if u in reach)
+    report.coverage = hit / len(pool) if pool else 0.0
     return report

@@ -16,13 +16,17 @@ from .transforms import parse_var, schema_is_all, var_name
 from .tuples import NTuple
 
 
+def _cells(T: Table) -> list:
+    """Each row's atom texts, in column order: a row's pairs are sorted by variable."""
+    return [[str(a) for _, a in r.pairs] for r in T.sorted_rows()]
+
+
 def table_to_json(T: Table) -> dict:
     if schema_is_all(T.schema):
         return {"schema": "ALL", "rows": []}
-    cols = sorted(T.schema)
     return {
-        "schema": [var_name(c) for c in cols],
-        "rows": [[str(r(c)) for c in cols] for r in T.sorted_rows()],
+        "schema": [var_name(c) for c in sorted(T.schema)],
+        "rows": _cells(T),
     }
 
 
@@ -44,8 +48,6 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
             raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
     else:
         ground = frozenset(atoms) or frozenset({"?"})
-    if not rows:
-        return bottom(ground)
     return Table.from_rows(ground, rows)
 
 
@@ -60,12 +62,10 @@ def table_from_json(data: dict, ground=None) -> Table:
 def table_to_csv(T: Table) -> str:
     if schema_is_all(T.schema):
         raise ValueError("the empty table has no CSV form; use JSON")
-    cols = sorted(T.schema)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([var_name(c) for c in cols])
-    for r in T.sorted_rows():
-        w.writerow([str(r(c)) for c in cols])
+    w.writerow([var_name(c) for c in sorted(T.schema)])
+    w.writerows(_cells(T))
     return buf.getvalue()
 
 
@@ -94,7 +94,7 @@ def table_to_grid(T: Table) -> str:
     if not cols:
         return "(top table: one empty row)"
     header = [var_name(c) for c in cols]
-    body = [[str(r(c)) for c in cols] for r in T.sorted_rows()]
+    body = _cells(T)
     widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
               for i, h in enumerate(header)]
     lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths))]

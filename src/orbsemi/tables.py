@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .orbital import OrbitalInstance, SampleConfig
+from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig
 from .transforms import ALL, FPTransform, _new, _set, schema_is_all
 from .tuples import EMPTY_TUPLE, NTuple, atom_key
 
@@ -120,8 +120,8 @@ def _check_same_ground(T1: Table, T2: Table):
 def natural_join(T1: Table, T2: Table) -> Table:
     """All tuples over the union schema whose restrictions lie in each operand."""
     _check_same_ground(T1, T2)
-    if not T1.rows or not T2.rows:
-        return bottom(T1.ground)
+    if not T1.rows or not T2.rows:  # the bottom element absorbs the join
+        return T2 if T1.rows else T1
     if not T1.schema:  # the top element is the unit of the join
         return T2
     if not T2.schema:
@@ -179,7 +179,7 @@ def _leq_plan(s1: frozenset, s2: frozenset):
 def act_table(T: Table, lam: FPTransform) -> Table:
     """Rowwise right multiplication T·lam."""
     if not T.rows:
-        return bottom(T.ground)
+        return T
     plan, schema = _act_plan(T.schema, lam.pairs)
     rows = set()
     for r in T.rows:
@@ -292,7 +292,7 @@ class TableAlgebra(OrbitalInstance):
         pool, seen = list(core[0]), set(core[1])
         window = sorted(cfg.window)
         atoms = sorted(self.ground, key=atom_key)
-        for _ in range(cfg.element_budget):
+        for _ in range(ELEMENT_BUDGET):
             X = [x for x in window if rng.random() < 0.6]
             if len(X) <= 2:
                 continue
@@ -307,6 +307,4 @@ class TableAlgebra(OrbitalInstance):
         return pool
 
     def elements_with_schema(self, X: frozenset):
-        if not X:
-            return iter([self.one()])
         return tables_with_schema(self.ground, X)

@@ -61,11 +61,11 @@ def schema_union(a, b):
     return a | b
 
 
-def schema_intersect_window(s, window: frozenset):
+def schema_intersect_window(s, window: Iterable[int]):
     """s intersected with a finite window (ALL ∩ window = window)."""
     if schema_is_all(s):
         return frozenset(window)
-    return s & window
+    return s.intersection(window)
 
 
 def var_name(i: int) -> str:
@@ -252,18 +252,23 @@ def parse_transform(text: str) -> FPTransform:
         if not inner:
             return EMPTY
         return partial_identity(parse_var(v) for v in inner.split(","))
+    return FPTransform.of(parse_map(text, "->", parse_var, "transform", "mapping", "source"))
+
+
+def parse_map(text: str, sep: str, parse_value, form: str, entry: str, key: str) -> dict:
+    """``{x_i<sep>v, ...}`` as {x_i: parse_value(v)}; errors name a form, entry and key."""
     if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"bad transform: {text!r}")
+        raise ValueError(f"bad {form}: {text!r}")
+    out = {}
     inner = text[1:-1].strip()
     if not inner:
-        return EMPTY
-    out = {}
+        return out
     for part in inner.split(","):
-        if "->" not in part:
-            raise ValueError(f"bad mapping {part!r} in {text!r}")
-        src, dst = part.split("->", 1)
-        s = parse_var(src)
-        if s in out:
-            raise ValueError(f"duplicate source {src.strip()!r} in {text!r}")
-        out[s] = parse_var(dst)
-    return FPTransform.of(out)
+        if sep not in part:
+            raise ValueError(f"bad {entry} {part!r} in {text!r}")
+        var, val = part.split(sep, 1)
+        x = parse_var(var)
+        if x in out:
+            raise ValueError(f"duplicate {key} {var.strip()!r} in {text!r}")
+        out[x] = parse_value(val)
+    return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .transforms import PartialMap, compose, parse_var, restrict, var_name
+from .transforms import PartialMap, compose, parse_map, restrict, var_name
 
 
 def atom_key(a):
@@ -64,19 +64,5 @@ def merge(t1: NTuple, t2: NTuple):
 
 def parse_tuple(text: str, parse_atom=str) -> NTuple:
     """Parse the text form ``{x1:a, x2:b}``."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"bad tuple: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return EMPTY_TUPLE
-    out = {}
-    for part in inner.split(","):
-        if ":" not in part:
-            raise ValueError(f"bad entry {part!r} in {text!r}")
-        var, val = part.split(":", 1)
-        v = parse_var(var)
-        if v in out:
-            raise ValueError(f"duplicate variable {var.strip()!r} in {text!r}")
-        out[v] = parse_atom(val.strip())
-    return NTuple.of(out)
+    return NTuple.of(parse_map(text.strip(), ":", lambda val: parse_atom(val.strip()),
+                               "tuple", "entry", "variable"))

@@ -139,8 +139,7 @@ _BROKEN_RELATIONS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
-def test_quotient_rejects_non_equivalence(case):
+def _broken_labeling(case):
     related, unrelated = _BROKEN_RELATIONS[case]
     G3 = frozenset({"a", "b", "c"})
     alg3 = TableAlgebra(G3)
@@ -153,8 +152,29 @@ def test_quotient_rejects_non_equivalence(case):
             return off_diagonal
         return Table.from_rows(G3, {t})
 
+    return Labeling(G3, alg3, broken)
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
+def test_quotient_rejects_non_equivalence(case):
     with pytest.raises(QuotientError, match="not an equivalence"):
-        quotient(Labeling(G3, alg3, broken))
+        quotient(_broken_labeling(case))
+
+
+#: the first failing pair (g, h) in atom order, as the all-pairs test named it
+_NON_EQUIVALENCE_AT = {
+    "asymmetric": "(a, b)",
+    "non-reflexive": "(a, a)",
+    "non-transitive": "(a, b)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
+def test_quotient_names_the_first_failing_pair(case):
+    with pytest.raises(QuotientError) as err:
+        quotient(_broken_labeling(case))
+    assert str(err.value) == (f"relation is not an equivalence at {_NON_EQUIVALENCE_AT[case]}; "
+                              "input was not a quasi-labeling")
 
 
 def test_quotient_rejects_exchange_violation(alg):

@@ -229,10 +229,19 @@ def test_ground_term_cached_fields_match_reference(spec):
     assert term_key(t) == t.sort_key()
 
 
+def _ref_subterms(t):
+    """The subterm closure of {t}, by a recursive walk of the tree."""
+    out = {t}
+    for c in t.children:
+        out |= _ref_subterms(c)
+    return out
+
+
 @given(_term_specs(5))
 def test_ground_term_subterms_match_subterm_closure(spec):
     t = _build(spec)
-    assert t.subterms() == subterm_closure([t])
+    assert t.subterms() == _ref_subterms(t)
+    assert subterm_closure([t]) == _ref_subterms(t)
     assert t.subterms() is t.subterms()
 
 

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbsemi.tableio import (
     load_table,
@@ -10,7 +13,7 @@ from orbsemi.tableio import (
     table_to_grid,
     table_to_json,
 )
-from orbsemi.tables import Table, bottom, top
+from orbsemi.tables import Table, all_rows, bottom, top
 from orbsemi.tuples import NTuple
 
 G = frozenset({"a", "b"})
@@ -81,3 +84,36 @@ def test_grid_output():
     assert "a" in grid
     assert table_to_grid(bottom(G)).startswith("(empty")
     assert table_to_grid(top(G)).startswith("(top")
+
+
+@st.composite
+def small_tables(draw):
+    """Bottom, top, or any row set of a schema inside {x1,x2,x3} over at most
+    three atoms."""
+    ground = frozenset(draw(st.sets(st.sampled_from("abc"), min_size=1, max_size=3)))
+    rows = list(all_rows(ground, draw(st.sets(st.integers(1, 3), max_size=3))))
+    keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return Table.from_rows(ground, [r for r, k in zip(rows, keep) if k])
+
+
+def reference_cells(T):
+    """Each row's atom at each column, looked up one cell at a time."""
+    cols = sorted(T.schema)
+    return [[str(r(c)) for c in cols] for r in T.sorted_rows()]
+
+
+@given(small_tables())
+def test_writers_match_per_cell_reference(t):
+    data = table_to_json(t)
+    if not t.rows:
+        assert data == {"schema": "ALL", "rows": []}
+        return
+    cells = reference_cells(t)
+    header = [f"x{c}" for c in sorted(t.schema)]
+    assert data == {"schema": header, "rows": cells}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *cells])
+    assert table_to_csv(t) == buf.getvalue()
+    if t.schema:
+        body = table_to_grid(t).splitlines()[2:]
+        assert [[cell.strip() for cell in line.split(" | ")] for line in body] == cells

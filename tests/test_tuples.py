@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from orbsemi.transforms import FPTransform, compose, partial_identity
+from orbsemi.transforms import FPTransform, compose, parse_transform, partial_identity
 from orbsemi.tuples import (
     EMPTY_TUPLE,
     NTuple,
@@ -77,6 +77,20 @@ def test_parse_tuple():
         parse_tuple("{x1:a, x1:b}")
     with pytest.raises(ValueError):
         parse_tuple("x1:a")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_transform, "x1->x2", "bad transform: 'x1->x2'"),
+    (parse_transform, "{x1, x2->x3}", "bad mapping 'x1' in '{x1, x2->x3}'"),
+    (parse_transform, "{x1->x2, x1 ->x3}", "duplicate source 'x1' in '{x1->x2, x1 ->x3}'"),
+    (parse_tuple, "x1:a", "bad tuple: 'x1:a'"),
+    (parse_tuple, "{x1:a, x2}", "bad entry ' x2' in '{x1:a, x2}'"),
+    (parse_tuple, "{x1:a, x1 :b}", "duplicate variable 'x1' in '{x1:a, x1 :b}'"),
+], ids=["transform", "mapping", "source", "tuple", "entry", "variable"])
+def test_map_parser_error_texts(parse, text, message):
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_sorted_pairs_enforced():
