@@ -54,6 +54,24 @@ def test_eval_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("T1 @ T2", "at position 3: expected token, found '@'"),
+    ("T1.project{x1,}", "at position 14: expected var, found '}'"),
+    ("T1.rename{x1->x2, x1->x3}",
+     "at position 18: expected fresh source variable, found 'x1'"),
+    ("T1.rename{x1}", "at position 12: expected ->, found '}'"),
+    # the end of input sits after trailing whitespace
+    ("T1 JOIN  ", "at position 9: expected BOTTOM, DIAG, NAME, TOP, found end of input"),
+    # a bad character is placed after the whitespace before it
+    ("T1   $", "at position 5: expected token, found '$'"),
+])
+def test_eval_parse_error_texts(expression, message, capsys):
+    assert main(["eval", expression, "--ground", "a,b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_eval_rejects_a_column_named_twice(tmp_path, capsys):
     dup = tmp_path / "dup.csv"
     dup.write_text("x1,x1\na,b\n")
@@ -141,6 +159,20 @@ def test_decompose(capsys):
     assert data["partial_identity"] == "pi{x3}"
 
 
+DECOMPOSE_TEXT = """\
+input:            {x1->x3, x2->x3}
+folding:          {x1->x1, x2->x1}
+bijection:        {x1->x3}
+partial identity: pi{x3}
+recomposition:    ok
+"""
+
+
+def test_decompose_text_output(capsys):
+    assert main(["decompose", "{x1->x3, x2->x3}"]) == 0
+    assert capsys.readouterr().out == DECOMPOSE_TEXT
+
+
 def test_decompose_bad_input(capsys):
     assert main(["decompose", "x1->x2"]) == 2
     capsys.readouterr()
@@ -152,6 +184,42 @@ def test_embed_single_atom(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "pass"
     assert data["strata_sizes"] == [0, 1, 2]
+
+
+EMBED_DEPTH1_TEXT = """\
+H strata sizes: [0, 1]
+symbols: 3
+quotient classes: 1
+rep-membership: PASS (1/1 applicable cases)
+rep-kappa-dom: PASS (2/2 applicable cases)
+rep-kappa-reorder: PASS (1/2 applicable cases)
+rep-kappa-split: VACUOUS (0/2 applicable cases)
+rep-base-independence: PASS (1/2 applicable cases)
+rep-eta-recovery: PASS (1/1 applicable cases)
+rep-nested-reduction: PASS (2/2 applicable cases)
+rep-eval-via-cover: PASS (1/2 applicable cases)
+rep-kappa-nonzero: PASS (2/2 applicable cases)
+rep-extended-eta: PASS (1/1 applicable cases)
+rep-extension-witness: PASS (60/60 applicable cases)
+L1: PASS (40/40 applicable cases)
+L2: PASS (200/200 applicable cases)
+L3: PASS (130/200 applicable cases)
+L1: PASS (40/40 applicable cases)
+L2: PASS (200/200 applicable cases)
+L3: PASS (130/200 applicable cases)
+L4: PASS (62/200 applicable cases)
+emb-dom: PASS (4/4 applicable cases)
+emb-injective: PASS (154/200 applicable cases)
+emb-meet: PASS (200/200 applicable cases)
+emb-act: PASS (200/200 applicable cases)
+emb-diag: PASS (9/9 applicable cases)
+emb-bounds: PASS (2/2 applicable cases)
+"""
+
+
+def test_embed_text_output(capsys):
+    main(["embed", "--ground", "a", "--depth", "1", "--format", "text"])
+    assert capsys.readouterr().out == EMBED_DEPTH1_TEXT
 
 
 def test_embed_reports_carry_the_seed(capsys):
