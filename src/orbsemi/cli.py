@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="table files (CSV or JSON); the stem becomes the name")
     pe.add_argument("--ground", help="comma-separated ground atoms")
     pe.add_argument("--format", choices=["grid", "csv", "json"], default="grid")
+    pe.set_defaults(run=_cmd_eval)
 
     def check_args(sp, with_mutate=True):
         sp.add_argument("--ground", default="a,b")
@@ -63,20 +64,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("check-axioms", help="run the thirteen axiom checks")
     check_args(pa)
+    pa.set_defaults(run=lambda args, out: _cmd_check(args, out, AXIOM_IDS, check_axiom))
 
     pp = sub.add_parser("check-props", help="run the derived-property checks")
     check_args(pp)
+    pp.set_defaults(run=lambda args, out: _cmd_check(args, out, DERIVED_IDS,
+                                                     check_derived))
 
     pl = sub.add_parser("check-labeling",
                         help="labeling laws and extent-embedding checks")
     check_args(pl, with_mutate=False)
     pl.add_argument("--level", choices=["quasi", "full"], default="full")
+    pl.set_defaults(run=_cmd_check_labeling)
 
     pd = sub.add_parser("decompose",
                         help="factor a transformation into folding, bijection "
                              "and partial identity")
     pd.add_argument("transform", help="e.g. '{x1->x3, x2->x3}' or 'pi{x1,x2}'")
     pd.add_argument("--format", choices=["text", "json"], default="text")
+    pd.set_defaults(run=_cmd_decompose)
 
     pm = sub.add_parser("embed", help="run the representation pipeline")
     pm.add_argument("--ground", default="a")
@@ -87,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--caps",
                     help="comma-separated overrides: symbols=N,stratum=N,vars=N")
     pm.add_argument("--format", choices=["text", "json"], default="json")
+    pm.set_defaults(run=_cmd_embed)
 
     return p
 
@@ -130,11 +137,8 @@ def _selected(args, known):
 
 
 def _cmd_eval(args, out) -> int:
-    env = {}
     ground = _parse_ground(args.ground) if args.ground else None
-    for path in args.tables:
-        T = load_table(path, ground=ground)
-        env[Path(path).stem] = T
+    env = {Path(path).stem: load_table(path, ground=ground) for path in args.tables}
     if ground is None:
         grounds = {T.ground for T in env.values()}
         if len(grounds) != 1:
@@ -182,20 +186,16 @@ def _cmd_decompose(args, out) -> int:
     recomposed = compose(pi, compose(sigma, delta))
     ok = (recomposed == f and is_folding(delta) and is_injective(sigma)
           and is_partial_identity(pi))
+    # each field's text label is its JSON key with "_" spelt as " "
+    fields = {key: format_transform(t) for key, t in
+              (("input", f), ("folding", delta), ("bijection", sigma),
+               ("partial_identity", pi))}
     if args.format == "json":
-        json.dump({
-            "input": format_transform(f),
-            "folding": format_transform(delta),
-            "bijection": format_transform(sigma),
-            "partial_identity": format_transform(pi),
-            "recomposition_ok": ok,
-        }, out, indent=2)
+        json.dump({**fields, "recomposition_ok": ok}, out, indent=2)
         out.write("\n")
     else:
-        out.write(f"input:            {format_transform(f)}\n")
-        out.write(f"folding:          {format_transform(delta)}\n")
-        out.write(f"bijection:        {format_transform(sigma)}\n")
-        out.write(f"partial identity: {format_transform(pi)}\n")
+        for key, text in fields.items():
+            out.write(f"{key.replace('_', ' ') + ':':18}{text}\n")
         out.write(f"recomposition:    {'ok' if ok else 'MISMATCH'}\n")
     return 0 if ok else 1
 
@@ -228,17 +228,10 @@ def _cmd_embed(args, out) -> int:
         out.write(f"symbols: {report.symbol_count}"
                   f"{' (truncated)' if report.symbols_truncated else ''}\n")
         out.write(f"quotient classes: {report.quotient_classes}\n")
-        for r in report.checks:
-            out.write(r.summary() + "\n")
+        _emit_reports(report.checks, "text", out)
         if report.error:
             out.write(f"error: {report.error}\n")
-    if report.error:
-        return 2
-    if not report.passed:
-        return 1
-    if report.vacuous_only:
-        return 3
-    return 0
+    return 2 if report.error else _exit_for(report.checks)
 
 
 def main(argv=None) -> int:
@@ -247,25 +240,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    out = sys.stdout
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, out)
-        if args.command == "check-axioms":
-            return _cmd_check(args, out, AXIOM_IDS, check_axiom)
-        if args.command == "check-props":
-            return _cmd_check(args, out, DERIVED_IDS, check_derived)
-        if args.command == "check-labeling":
-            return _cmd_check_labeling(args, out)
-        if args.command == "decompose":
-            return _cmd_decompose(args, out)
-        if args.command == "embed":
-            return _cmd_embed(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, sys.stdout)
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

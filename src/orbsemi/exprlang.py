@@ -83,35 +83,21 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<var>x\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<arrow>->)"
-    r"|(?P<punct>[(),.{}]))"
+    r"|(?P<punct>[(),.{}])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.end() == pos:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise ParseError(at, {"token"}, repr(stripped[0]))
-        if m.group("var"):
-            tokens.append(("var", m.group("var"), m.start("var")))
-        elif m.group("name"):
-            kind = m.group("name")
-            if kind in _KEYWORDS:
-                tokens.append((kind, kind, m.start("name")))
-            else:
-                tokens.append(("name", kind, m.start("name")))
-        elif m.group("arrow"):
-            tokens.append(("->", "->", m.start("arrow")))
-        else:
-            p = m.group("punct")
-            tokens.append((p, p, m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        text, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(pos, {"token"}, repr(text))
+        if kind in ("arrow", "punct") or text in _KEYWORDS:
+            kind = text
+        tokens.append((kind, text, pos))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -180,27 +166,23 @@ class _Parser:
     def action(self) -> FPTransform:
         kind, _, _ = self.take("rename", "project")
         self.take("{")
-        if kind == "project":
-            vs = []
-            if self.peek()[0] == "var":
-                vs.append(self.var())
-                while self.peek()[0] == ",":
-                    self.take(",")
-                    vs.append(self.var())
-            self.take("}")
-            return partial_identity(vs)
         pairs = {}
         if self.peek()[0] == "var":
-            self._rename_pair(pairs)
+            self._entry(kind, pairs)
             while self.peek()[0] == ",":
                 self.take(",")
-                self._rename_pair(pairs)
+                self._entry(kind, pairs)
         self.take("}")
         return FPTransform.of(pairs)
 
-    def _rename_pair(self, pairs):
+    def _entry(self, kind, pairs):
+        """One list entry: ``x_i`` for a projection, ``x_i->x_j`` with a fresh
+        source ``x_i`` for a renaming."""
         _, text, pos = self.take("var")
         src = int(text[1:])
+        if kind == "project":
+            pairs[src] = src
+            return
         if src in pairs:
             raise ParseError(pos, {"fresh source variable"}, repr(text))
         self.take("->")

@@ -36,6 +36,8 @@ from .transforms import (
 #: sizes of the sampled element, tuple and base-tuple pools, and of the transformation pool
 ELEMENT_BUDGET = 40
 TRANSFORM_BUDGET = 64
+#: a window with at most this many transformations puts all of them in the pool
+TRANSFORM_ENUMERATION_CAP = 130
 
 
 @dataclass
@@ -50,7 +52,7 @@ class SampleConfig:
         if self.var_window < 2:
             raise ValueError("var_window must be >= 2")
         if self.cases < 1:
-            raise ValueError("budgets must be >= 1")
+            raise ValueError("cases must be >= 1")
 
     @property
     def window(self) -> frozenset:
@@ -157,7 +159,7 @@ def _random_subset(rng: random.Random, items, p: float = 0.5) -> frozenset:
 def _transform_pool(cfg: SampleConfig, rng: random.Random) -> list:
     window = sorted(cfg.window)
     total = (len(window) + 1) ** len(window)
-    if total <= max(TRANSFORM_BUDGET, 130):
+    if total <= TRANSFORM_ENUMERATION_CAP:
         return list(all_transforms(window, window))
     pool = [EMPTY, partial_identity(window)]
     while len(pool) < TRANSFORM_BUDGET:

@@ -523,10 +523,6 @@ class PipelineReport:
     def passed(self) -> bool:
         return self.error is None and all(r.passed for r in self.checks)
 
-    @property
-    def vacuous_only(self) -> bool:
-        return bool(self.checks) and all(r.vacuous for r in self.checks)
-
     def to_json(self) -> dict:
         return {
             "strata_sizes": self.strata_sizes,

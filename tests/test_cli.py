@@ -117,6 +117,13 @@ def test_check_axioms_dom_top_all_reports_instead_of_crashing(capsys):
     capsys.readouterr()
 
 
+def test_check_axioms_rejects_zero_cases(capsys):
+    assert main(["check-axioms", "--ground", "a", "--cases", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cases must be >= 1\n"
+
+
 def test_check_axioms_unknown_id(capsys):
     assert main(["check-axioms", "--ground", "a,b", "--only", "A99"]) == 2
     capsys.readouterr()
@@ -222,6 +229,14 @@ def test_embed_text_output(capsys):
     assert capsys.readouterr().out == EMBED_DEPTH1_TEXT
 
 
+def test_embed_exits_3_when_a_check_is_vacuous(capsys):
+    # rep-kappa-split finds no applicable case at depth 1; nothing fails
+    assert main(["embed", "--ground", "a", "--depth", "1"]) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if c["status"] == "vacuous"] == ["rep-kappa-split"]
+    assert all(c["status"] != "fail" for c in checks)
+
+
 def test_embed_reports_carry_the_seed(capsys):
     # a report's seed replays it, so every check of the run must carry it
     assert main(["embed", "--ground", "a", "--seed", "3"]) == 0
@@ -234,7 +249,7 @@ def test_embed_caps_flag(capsys):
     code = main(["embed", "--ground", "a", "--depth", "1", "--cases", "30",
                  "--caps", "symbols=8,stratum=16"])
     data = json.loads(capsys.readouterr().out)
-    assert code in (0, 3)
+    assert code == 3  # rep-kappa-split is vacuous at depth 1
     assert data["symbol_count"] <= 8
     assert main(["embed", "--ground", "a", "--caps", "bogus=1"]) == 2
     capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 from orbsemi.orbital import (
     AXIOM_IDS,
     DERIVED_IDS,
+    TRANSFORM_BUDGET,
     SampleConfig,
     _transform_pool,
     check_all_axioms,
@@ -14,7 +15,7 @@ from orbsemi.orbital import (
     e_diag,
 )
 from orbsemi.tables import TableAlgebra, natural_join
-from orbsemi.transforms import FPTransform, partial_identity
+from orbsemi.transforms import EMPTY, FPTransform, partial_identity
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def alg():
 def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(var_window=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cases must be >= 1"):
         SampleConfig(cases=0)
     assert SampleConfig(var_window=3).window == {1, 2, 3}
 
@@ -72,6 +73,19 @@ def test_transform_pool_exhaustive_for_window_three():
     pool = _transform_pool(cfg, random.Random(0))
     assert len(pool) == 4 ** 3
     assert len(set(pool)) == len(pool)
+
+
+def test_transform_pool_sampled_for_window_four():
+    # 5 ** 4 = 625 transformations are too many to enumerate, so the pool is
+    # the empty map, the identity on the window and seeded random draws
+    cfg = SampleConfig(var_window=4)
+    pool = _transform_pool(cfg, random.Random(0))
+    assert len(pool) == TRANSFORM_BUDGET
+    assert pool[:2] == [EMPTY, partial_identity({1, 2, 3, 4})]
+    for lam in pool:
+        assert lam.df <= cfg.window and lam.rng <= cfg.window
+    assert _transform_pool(cfg, random.Random(0)) == pool
+    assert _transform_pool(cfg, random.Random(1)) != pool
 
 
 def test_e_diag(alg):
