@@ -7,6 +7,9 @@ from orbsemi.orbital import (
     DERIVED_IDS,
     TRANSFORM_BUDGET,
     SampleConfig,
+    _folding_onto,
+    _random_folding,
+    _random_injection,
     _transform_pool,
     check_all_axioms,
     check_all_derived,
@@ -15,7 +18,7 @@ from orbsemi.orbital import (
     e_diag,
 )
 from orbsemi.tables import TableAlgebra, natural_join
-from orbsemi.transforms import EMPTY, FPTransform, partial_identity
+from orbsemi.transforms import EMPTY, FPTransform, is_folding, partial_identity
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,30 @@ def test_transform_pool_sampled_for_window_four():
         assert lam.df <= cfg.window and lam.rng <= cfg.window
     assert _transform_pool(cfg, random.Random(0)) == pool
     assert _transform_pool(cfg, random.Random(1)) != pool
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_random_injection_is_injective(width):
+    # injective-act-meet relies on this: its targets come from rng.sample
+    window = list(range(1, width + 1))
+    for seed in range(200):
+        lam = _random_injection(random.Random(seed), window)
+        assert lam.is_injective()
+        assert lam.df <= set(window) and lam.rng <= set(window)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_random_foldings_land_in_the_window_or_the_retract(width):
+    # folding-below-diagonal relies on this: rng(delta) lies in dom(v)
+    window = list(range(1, width + 1))
+    for seed in range(200):
+        rng = random.Random(seed)
+        delta = _random_folding(rng, window)
+        assert is_folding(delta) and delta.rng <= set(window)
+        retract = frozenset(x for x in window if rng.random() < 0.7) or frozenset(window[:1])
+        df = retract | frozenset(x for x in window if rng.random() < 0.5)
+        delta = _folding_onto(rng, df, retract)
+        assert is_folding(delta) and delta.df == df and delta.rng == retract
 
 
 def test_e_diag(alg):

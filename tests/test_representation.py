@@ -1,4 +1,6 @@
+import itertools
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -9,6 +11,7 @@ from orbsemi.representation import (
     GroundTerm,
     RepCaps,
     RepresentationBuilder,
+    _harvest_base_tuples,
     alpha_tilde,
     arity,
     base_tuple_for,
@@ -21,7 +24,8 @@ from orbsemi.representation import (
     term_key,
 )
 from orbsemi.tables import Table, TableAlgebra
-from orbsemi.tuples import NTuple
+from orbsemi.transforms import astrict
+from orbsemi.tuples import NTuple, merge
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,26 @@ def test_symbol_truncation_reported(alg2):
     builder = RepresentationBuilder(alg2, caps)
     assert builder.symbols_truncated
     assert len(builder.symbols) == 2
+
+
+def test_symbol_cap_reached_exactly_is_not_truncation(alg):
+    # Tab({a}) has one symbol of each width 1..3
+    builder = RepresentationBuilder(alg, RepCaps(max_symbols=3))
+    assert len(builder.symbols) == 3 and not builder.symbols_truncated
+    builder = RepresentationBuilder(alg, RepCaps(max_symbols=2))
+    assert len(builder.symbols) == 2 and builder.symbols_truncated
+
+
+def test_kappa_split_halves_merge_back(alg2):
+    # rep-kappa-split relies on this: each pair of b is kept in b1 or in b2
+    H = build_H(alg2)
+    for b in _harvest_base_tuples(H, random.Random(0), budget=40):
+        vals = sorted(b.rng, key=term_key)
+        for k in range(len(vals) + 1):
+            for half in map(frozenset, itertools.combinations(vals, k)):
+                b1 = astrict(b, subterm_closure(half))
+                b2 = astrict(b, subterm_closure(b.rng - half))
+                assert merge(b1, b2) == b
 
 
 def test_stratum_truncation_reported(alg2):

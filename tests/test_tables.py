@@ -165,6 +165,11 @@ def test_element_pool_contains_exhaustive_core():
         assert Tb in pool
 
 
+def test_table_algebra_rejects_an_empty_ground():
+    with pytest.raises(ValueError, match="ground set must be nonempty"):
+        TableAlgebra(set())
+
+
 def test_elements_with_schema():
     alg = TableAlgebra(G)
     unary = list(alg.elements_with_schema(frozenset({1})))
