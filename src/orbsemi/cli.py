@@ -127,11 +127,13 @@ def _emit_reports(reports, fmt, out):
 
 
 def _selected(args, known):
-    if args.only:
+    if args.only is not None:
         ids = [s.strip() for s in args.only.split(",") if s.strip()]
         unknown = [s for s in ids if s not in known]
         if unknown:
             raise ValueError(f"unknown check ids {unknown} (known: {list(known)})")
+        if not ids:
+            raise ValueError(f"no checks match --only {args.only!r}")
         return ids
     return list(known)
 

@@ -104,7 +104,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 

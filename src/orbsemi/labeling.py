@@ -77,11 +77,9 @@ def extent(alpha: Labeling, u) -> Table:
     return Table.from_rows(alpha.ground, rows)
 
 
-def _sample_tuples(alpha: Labeling, cfg: SampleConfig, rng: random.Random,
-                   atoms=None) -> list:
-    """Deterministic tuple pool: exhaustive over two-variable schemas inside
-    the window (when affordable), sampled beyond."""
-    atoms = sorted(alpha.ground if atoms is None else atoms, key=atom_key)
+def _sample_tuples(atoms: list, cfg: SampleConfig, rng: random.Random) -> list:
+    """Deterministic tuple pool over the sorted ``atoms``: exhaustive over
+    two-variable schemas inside the window (when affordable), sampled beyond."""
     window = sorted(cfg.window)
     pool = [NTuple(())]
     small = [X for X in subsets(window) if 1 <= len(X) <= 2]
@@ -123,11 +121,11 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
         raise ValueError("tuple_atoms must lie inside the ground set")
     inst = alpha.inst
     rng = random.Random(cfg.seed)
-    tuples = _sample_tuples(alpha, cfg, rng, atoms=tuple_atoms)
-    transforms = _transform_pool(cfg, rng)
-    elements = inst.element_pool(cfg, rng)
     atoms = sorted(alpha.ground, key=atom_key)
     t_atoms = atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
+    tuples = _sample_tuples(t_atoms, cfg, rng)
+    transforms = _transform_pool(cfg, rng)
+    elements = inst.element_pool(cfg, rng)
     window = sorted(cfg.window)
 
     def pick(i):

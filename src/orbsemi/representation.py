@@ -208,18 +208,11 @@ class RepresentationBuilder:
         self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
 
     def _enumerate_symbols(self):
-        out = []
-        truncated = False
-        for width in range(1, self.caps.max_symbol_vars + 1):
-            X = frozenset(range(1, width + 1))
-            for v in self.inst.elements_with_schema(X):
-                if len(out) >= self.caps.max_symbols:
-                    truncated = True
-                    break
-                out.append((v, width - 1))
-            if truncated:
-                break
-        return out, truncated
+        signature = ((v, width - 1)
+                     for width in range(1, self.caps.max_symbol_vars + 1)
+                     for v in self.inst.elements_with_schema(frozenset(range(1, width + 1))))
+        out = list(itertools.islice(signature, self.caps.max_symbols))
+        return out, next(signature, None) is not None
 
     def _op(self, name, *args):
         """``self.inst.<name>(*args)``, computed once per distinct arguments."""
@@ -265,11 +258,8 @@ class RepresentationBuilder:
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
         return self._op("act", self.kappa(b), _inverse_after(b, t))
 
-    def symbol_name(self, v) -> str:
-        return self._symbol_names.get(v, "?")
-
     def format_term(self, t: GroundTerm) -> str:
-        name = self.symbol_name(t.head)
+        name = self._symbol_names.get(t.head, "?")
         if not t.children:
             return name
         return f"{name}({', '.join(self.format_term(c) for c in t.children)})"
@@ -317,12 +307,6 @@ class RepresentationBuilder:
             return False
         return self.admissible(term.head, cs)
 
-    def labeling(self, H: HSet) -> Labeling:
-        """alpha restricted to tuples over H, packaged for the labeling module."""
-        if not H.terms:
-            raise ValueError("H is empty (the instance has no constants)")
-        return Labeling(H.terms, self.inst, self.alpha)
-
 
 def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) -> HSet:
     caps = RepCaps(depth=depth) if caps is None else replace(caps, depth=depth)
@@ -336,23 +320,15 @@ def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) 
 def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
     """Base tuples over H: singletons' closures plus random multi-term closures."""
     terms = sorted(H.terms, key=term_key)
-    out = [NTuple(())]
-    seen = {NTuple(())}
-    for t in terms:
-        b = base_tuple_for(NTuple.of({1: t}))
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
+    out = dict.fromkeys([NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
     while len(out) < budget and terms:
         k = rng.randrange(1, min(3, len(terms)) + 1)
         picks = rng.sample(terms, k)
         b = base_tuple_for(NTuple.of({i + 1: p for i, p in enumerate(picks)}))
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-        else:
+        if b in out:
             budget -= 1  # avoid spinning when the space is exhausted
-    return out
+        out[b] = None
+    return list(out)
 
 
 def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
@@ -403,8 +379,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         half = frozenset(a for a in sorted(b.rng, key=term_key) if rng.random() < 0.5)
         b1 = astrict(b, subterm_closure(half))
         b2 = astrict(b, subterm_closure(b.rng - half))
-        if merge(b1, b2) != b:
-            return None
+        # each pair of b is kept in b1 or in b2, so b is their merge
         lhs = builder.kappa(b)
         rhs = inst.meet(builder.kappa(b1), builder.kappa(b2))
         return lhs == rhs, lambda: {"b": repr(b), "b1": repr(b1), "b2": repr(b2),
@@ -512,40 +487,27 @@ class PipelineReport:
     symbols_truncated: bool = False
     stratum_truncated: bool = False
     terms: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
     quotient_classes: int = 0
     fragment_classes: int = 0
     reachable_count: int = 0
     coverage: float = 0.0
     error: str | None = None
+    checks: list = field(default_factory=list)  # last: to_json keeps this order
 
     @property
     def passed(self) -> bool:
         return self.error is None and all(r.passed for r in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "strata_sizes": self.strata_sizes,
-            "symbol_count": self.symbol_count,
-            "symbols_truncated": self.symbols_truncated,
-            "stratum_truncated": self.stratum_truncated,
-            "terms": self.terms,
-            "quotient_classes": self.quotient_classes,
-            "fragment_classes": self.fragment_classes,
-            "reachable_count": self.reachable_count,
-            "coverage": self.coverage,
-            "error": self.error,
-            "checks": [r.to_json() for r in self.checks],
-            "status": "pass" if self.passed else "fail",
-        }
+        return {**vars(self), "checks": [r.to_json() for r in self.checks],
+                "status": "pass" if self.passed else "fail"}
 
 
 #: tuple schemas with more label combinations than this are sampled, not enumerated
 _PAIR_CAP = 4096
 
 
-def _reachable_elements(alpha_bar: Labeling, cfg: SampleConfig,
-                        rng: random.Random) -> list:
+def _reachable_elements(alpha_bar: Labeling, rng: random.Random) -> list:
     """Distinct label values over tuples with small domains, plus the bounds."""
     inst = alpha_bar.inst
     atoms = sorted(alpha_bar.ground, key=atom_key)
@@ -591,7 +553,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     else:
         frag_terms = H.terms
 
-    alpha = builder.labeling(H)
+    alpha = Labeling(H.terms, inst, builder.alpha)
     report.checks.extend(check_labeling(alpha, "quasi", cfg,
                                         tuple_atoms=frag_terms))
 
@@ -606,7 +568,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
 
     alpha_frag = Labeling(frag_reps, inst, builder.alpha)
     rng = random.Random(cfg.seed)
-    reachable = _reachable_elements(alpha_frag, cfg, rng)
+    reachable = _reachable_elements(alpha_frag, rng)
     report.reachable_count = len(reachable)
     report.checks.extend(check_embedding(alpha_frag, cfg, elements=reachable))
 

@@ -245,8 +245,6 @@ class TableAlgebra(OrbitalInstance):
 
     def __init__(self, ground):
         ground = frozenset(ground)
-        if not ground:
-            raise ValueError("ground set must be nonempty")
         self.ground = ground
         self._zero, self._one = bottom(ground), top(ground)
         self._diags = {}

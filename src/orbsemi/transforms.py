@@ -38,9 +38,6 @@ class AllVars:
 
 ALL = AllVars()
 
-#: A schema is either a finite variable set or the symbolic ALL marker.
-Schema = "frozenset[int] | AllVars"
-
 
 def schema_is_all(s) -> bool:
     return isinstance(s, AllVars)

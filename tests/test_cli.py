@@ -129,6 +129,16 @@ def test_check_axioms_unknown_id(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check-axioms", "check-props", "check-labeling"])
+@pytest.mark.parametrize("only", [",", " , ", ""])
+def test_empty_only_is_a_usage_error(command, only, capsys):
+    # an empty selection would run no check and report a vacuous pass
+    assert main([command, "--ground", "a", "--only", only, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: no checks match --only {only!r}\n"
+
+
 def test_check_props(capsys):
     code = main(["check-props", "--ground", "a,b", "--only", "diag-symmetric",
                  "--cases", "50"])

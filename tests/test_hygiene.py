@@ -1,11 +1,17 @@
-"""Every name a module imports is used in it, and every module-level
-function and class of the package is used somewhere.
+"""Every name a module imports is used in it, every module-level function,
+class and assigned name of the package is used somewhere, and every function
+reads each of its parameters.
 
 A stdlib-only stand-in for a linter's unused-import rule: parse each module
 of the package with ``ast`` and compare the names its imports bind with the
 names it reads.  ``__init__.py`` is skipped, because it imports to re-export.
-A function or class counts as used when a statement other than its own
-definition, in the package or in the tests, names it.
+A module-level name counts as used when a statement other than its own
+definition, in the package or in the tests, names it.  Dunder names such as
+``__all__`` are read by Python itself and are exempt.  A parameter counts as
+read when the function body, nested functions and lambdas included, names it;
+``self``, ``cls``, names starting with ``_``, dunder methods and abstract
+methods are exempt, because their signatures are fixed by the protocol they
+implement.
 """
 
 import ast
@@ -55,17 +61,32 @@ def _names(node) -> set:
     return out
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined(stmt) -> list:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and not _dunder(n.id)]
+
+
 def unreferenced_definitions(package: dict, others: list) -> list:
-    """(module, name) of each module-level function or class in ``package``
-    (module name -> source) that no other statement of ``package`` or of
-    ``others`` (a list of sources) names."""
+    """(module, name) of each module-level function, class or assigned name
+    in ``package`` (module name -> source) that no other statement of
+    ``package`` or of ``others`` (a list of sources) names."""
     trees = {module: ast.parse(src) for module, src in package.items()}
     statements = [stmt for tree in [*trees.values(), *map(ast.parse, others)]
                   for stmt in tree.body]
     named = [(stmt, _names(stmt)) for stmt in statements]
-    return [(module, node.name) for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not any(node.name in names for stmt, names in named if stmt is not node)]
+    return [(module, name) for module, tree in trees.items() for node in tree.body
+            for name in _defined(node)
+            if not any(name in names for stmt, names in named if stmt is not node)]
 
 
 def test_scanner_finds_an_unreferenced_definition():
@@ -73,6 +94,53 @@ def test_scanner_finds_an_unreferenced_definition():
     assert unreferenced_definitions(package, ["from m import C\n"]) == [("m", "dead")]
 
 
+def test_scanner_finds_an_unused_assignment():
+    package = {"m": "A = 1\nB: int = A\n__all__ = []\nC, D = 2, 3\n"}
+    assert unreferenced_definitions(package, ["from m import C\n"]) == [
+        ("m", "B"), ("m", "D")]
+
+
 def test_every_definition_is_referenced():
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(package, [p.read_text() for p in TESTS]) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter that its function never
+    reads, outside the exemptions in the module docstring."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _dunder(node.name):
+            continue
+        if any("abstractmethod" in _names(d) for d in node.decorator_list):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        out.extend((node.lineno, node.name, p.arg) for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_"))
+    return sorted(out)
+
+
+def test_scanner_finds_an_unread_parameter():
+    source = """
+class C:
+    def m(self, a, b, _c):
+        return lambda: a
+    def __eq__(self, other):
+        return True
+    @abstractmethod
+    def n(self, d):
+        ...
+def f(x, *args, y, **kw):
+    def g():
+        return x + y
+    return g
+"""
+    assert unread_parameters(source) == [(3, "m", "b"), (10, "f", "args"), (10, "f", "kw")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []

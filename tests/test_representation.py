@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from orbsemi.mutants import MutantAlgebra
 from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (
     GroundTerm,
@@ -207,6 +208,20 @@ def test_pipeline_report_json(alg):
     assert data["strata_sizes"] == [0, 1, 2]
     assert isinstance(data["terms"], list) and data["terms"]
     assert data["fragment_classes"] >= 1
+
+
+def test_pipeline_reports_an_empty_H(alg):
+    no_constants = MutantAlgebra(alg, "no-constants", None,
+                                 elements_with_schema=lambda b, X: iter(()))
+    report = represent(no_constants, SampleConfig(cases=40))
+    assert report.error == "H is empty (no constants in the signature)"
+    assert not report.passed
+    data = report.to_json()
+    assert data["status"] == "fail" and data["checks"] == []
+    assert list(data) == ["strata_sizes", "symbol_count", "symbols_truncated",
+                          "stratum_truncated", "terms", "quotient_classes",
+                          "fragment_classes", "reachable_count", "coverage", "error",
+                          "checks", "status"]
 
 
 # ---------------------------------------------------------------------------
