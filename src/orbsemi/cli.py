@@ -134,7 +134,7 @@ def _selected(args, known):
             raise ValueError(f"unknown check ids {unknown} (known: {list(known)})")
         if not ids:
             raise ValueError(f"no checks match --only {args.only!r}")
-        return ids
+        return list(dict.fromkeys(ids))  # each id once, in the order first named
     return list(known)
 
 
@@ -174,8 +174,9 @@ def _cmd_check_labeling(args, out) -> int:
     alpha = singleton_labeling(inst)
     wanted = _selected(args, LABELING_IDS + EMBEDDING_IDS)
     # the laws share one rng, so all of them run and the selection is a filter
-    reports = check_labeling(alpha, args.level, cfg) + check_embedding(alpha, cfg)
-    reports = [r for r in reports if r.check_id in wanted]
+    by_id = {r.check_id: r for r in
+             check_labeling(alpha, args.level, cfg) + check_embedding(alpha, cfg)}
+    reports = [by_id[cid] for cid in wanted if cid in by_id]
     if not reports:
         raise ValueError(f"no checks match --only {args.only!r}")
     _emit_reports(reports, args.format, out)

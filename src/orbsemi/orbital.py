@@ -5,8 +5,9 @@ The axioms quantify over infinite sets (all transformations, all finite variable
 sets, all variables), so every check is bounded: elements come from the
 instance's pool, transformations and variables from a finite window.  Sampling
 is sound for refutation; exhaustion of the pool in the first quantifier position
-gives small-scope confidence.  Checks are deterministic given the seed; a
-failure carries a replayable counterexample.
+gives small-scope confidence.  Each check draws only the variables it
+quantifies over, which its body names as parameters.  Checks are
+deterministic given the seed; a failure carries a replayable counterexample.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def _transform_pool(cfg: SampleConfig, rng: random.Random) -> list:
     total = (len(window) + 1) ** len(window)
     if total <= TRANSFORM_ENUMERATION_CAP:
         return list(all_transforms(window, window))
-    pool = [EMPTY, partial_identity(window)]
+    pool = dict.fromkeys([EMPTY, partial_identity(window)])  # insertion-ordered set
     while len(pool) < TRANSFORM_BUDGET:
-        pool.append(_random_transform(rng, window))
-    return pool
+        pool[_random_transform(rng, window)] = None
+    return list(pool)
 
 
 def _random_transform(rng: random.Random, window) -> FPTransform:
@@ -187,14 +188,6 @@ def _random_folding(rng: random.Random, window: list) -> FPTransform:
     return FPTransform.of(out)
 
 
-def _folding_onto(rng: random.Random, df: frozenset, retract: frozenset) -> FPTransform:
-    out = {x: x for x in retract}
-    rlist = sorted(retract)
-    for x in sorted(df - retract):
-        out[x] = rng.choice(rlist)
-    return FPTransform.of(out)
-
-
 def _random_injection(rng: random.Random, window: list) -> FPTransform:
     if rng.random() < 0.5:
         srcs = list(window)  # full permutation keeps the range condition easy to hit
@@ -204,163 +197,141 @@ def _random_injection(rng: random.Random, window: list) -> FPTransform:
     return FPTransform.of(dict(zip(srcs, tgts)))
 
 
-@dataclass
-class _Case:
-    """One sampled valuation of the quantified variables."""
-
-    inst: OrbitalInstance
-    rng: random.Random
-    window: list  # sorted
-    elements: list
-    u: object = None
-    v: object = None
-    lam: FPTransform = EMPTY
-    mu: FPTransform = EMPTY
-    x: int = 1
-    y: int = 1
-    Y: frozenset = frozenset()
-
-    def describe(self, **extra) -> dict:
-        d = {
-            "u": repr(self.u),
-            "v": repr(self.v),
-            "lam": repr(self.lam),
-            "mu": repr(self.mu),
-            "x": self.x,
-            "y": self.y,
-            "Y": sorted(self.Y),
-        }
-        d.update({k: repr(v) for k, v in extra.items()})
-        return d
+def _domains(rng: random.Random, elements: list, transforms: list, window: list) -> dict:
+    """Each variable a check may quantify over, and how its value in case
+    ``i`` is drawn.  ``u`` runs through the element pool in order before it
+    samples, so the first quantifier position exhausts the pool."""
+    choice = rng.choice
+    return {
+        "u": lambda i: elements[i] if i < len(elements) else choice(elements),
+        "v": lambda _: choice(elements),
+        "vs": lambda _: [choice(elements) for _ in range(rng.randrange(4))],
+        "lam": lambda _: choice(transforms),
+        "mu": lambda _: choice(transforms),
+        "x": lambda _: choice(window),
+        "y": lambda _: choice(window),
+        "z": lambda _: choice(window),
+        "w": lambda _: choice(window),
+        "Y": lambda _: _random_subset(rng, window),
+        "inj": lambda _: _random_injection(rng, window),
+        "delta": lambda _: _random_folding(rng, window),
+        "window": lambda _: window,
+    }
 
 
-def _draw_case(inst, window, rng, elements, transforms, index) -> _Case:
-    c = _Case(inst, rng, window, elements)
-    c.u = elements[index] if index < len(elements) else rng.choice(elements)
-    c.v = rng.choice(elements)
-    c.lam = rng.choice(transforms)
-    c.mu = rng.choice(transforms)
-    c.x = rng.choice(window)
-    c.y = rng.choice(window)
-    c.Y = _random_subset(rng, window)
-    return c
+def _shown(value):
+    """A counterexample field: numbers as they are, variable sets sorted,
+    lists item by item and anything else by its repr."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, list):
+        return [_shown(v) for v in value]
+    return repr(value)
 
 
 # ---------------------------------------------------------------------------
-# Axiom bodies.  Each returns None when the case does not apply, else
-# (ok, detail) with detail() the extra counterexample fields (see run_cases).
+# Axiom bodies.  A body's parameters after ``inst`` are the variables it
+# quantifies over, each drawn from its domain in ``_domains``.  It returns
+# None when the case does not apply, else (ok, detail) with detail() the
+# extra counterexample fields (see run_cases).
 
 
-def _ax1(c: _Case):
-    inst = c.inst
-    if c.u == inst.zero():
+def _ax1(inst, u):
+    if u == inst.zero():
         return None
-    lhs = inst.act(c.u, EMPTY)
+    lhs = inst.act(u, EMPTY)
     return lhs == inst.one(), lambda: {"u*pi_empty": lhs}
 
 
-def _ax2(c: _Case):
-    inst = c.inst
-    lhs = inst.act(inst.zero(), c.lam)
+def _ax2(inst, lam):
+    lhs = inst.act(inst.zero(), lam)
     return lhs == inst.zero(), lambda: {"zero*lam": lhs}
 
 
-def _ax3(c: _Case):
-    inst = c.inst
-    du = inst.dom(c.u)
-    Y = c.Y
-    if not schema_is_all(du) and c.rng.random() < 0.5:
-        Y = Y | du  # bias toward satisfying the hypothesis
-    if not schema_subset(du, Y):
+def _ax3(inst, u, v, Y):
+    du = inst.dom(u)
+    if schema_is_all(du):
         return None
+    Y = Y | du  # the hypothesis dom(u) ⊆ Y
     piY = partial_identity(Y)
-    lhs = inst.act(inst.meet(c.u, c.v), piY)
-    rhs = inst.meet(c.u, inst.act(c.v, piY))
-    return lhs == rhs, lambda: {"(u^v)*piY": lhs, "u^(v*piY)": rhs, "Y_used": sorted(Y)}
+    lhs = inst.act(inst.meet(u, v), piY)
+    rhs = inst.meet(u, inst.act(v, piY))
+    return lhs == rhs, lambda: {"(u^v)*piY": lhs, "u^(v*piY)": rhs, "Y_used": Y}
 
 
-def _ax4(c: _Case):
-    inst = c.inst
-    proj = inst.act(c.u, partial_identity(c.Y))
-    return inst.leq(c.u, proj), lambda: {"u*piY": proj}
+def _ax4(inst, u, Y):
+    proj = inst.act(u, partial_identity(Y))
+    return inst.leq(u, proj), lambda: {"u*piY": proj}
 
 
-def _ax5(c: _Case):
-    inst = c.inst
-    u = inst.meet(c.u, c.v)  # guarantees u <= v
-    lhs = inst.act(u, c.lam)
-    rhs = inst.act(c.v, c.lam)
+def _ax5(inst, u, v, lam):
+    u = inst.meet(u, v)  # guarantees u <= v
+    lhs = inst.act(u, lam)
+    rhs = inst.act(v, lam)
     return inst.leq(lhs, rhs), lambda: {"u_used": u, "u*lam": lhs, "v*lam": rhs}
 
 
-def _ax6(c: _Case):
-    inst = c.inst
-    if c.x == c.y:
+def _ax6(inst, u, x, y):
+    if x == y:
         return None
-    u = inst.meet(c.u, inst.diag(c.x, c.y))  # guarantees u <= d_xy
+    u = inst.meet(u, inst.diag(x, y))  # guarantees u <= d_xy
     if u == inst.zero():
         return None
-    du = inst.dom(u)
-    pi = partial_identity(du - {c.y})
-    rhs = inst.meet(inst.act(u, pi), inst.diag(c.x, c.y))
+    pi = partial_identity(inst.dom(u) - {y})
+    rhs = inst.meet(inst.act(u, pi), inst.diag(x, y))
     return u == rhs, lambda: {"u_used": u, "rhs": rhs}
 
 
-def _ax7(c: _Case):
-    inst = c.inst
-    lhs = inst.act(inst.act(c.u, c.lam), c.mu)
-    rhs = inst.act(c.u, compose(c.lam, c.mu))
+def _ax7(inst, u, lam, mu):
+    lhs = inst.act(inst.act(u, lam), mu)
+    rhs = inst.act(u, compose(lam, mu))
     return lhs == rhs, lambda: {"(u*lam)*mu": lhs, "u*(lam.mu)": rhs}
 
 
-def _ax8(c: _Case):
-    inst = c.inst
-    du = inst.dom(c.u)
+def _ax8(inst, u):
+    du = inst.dom(u)
     if schema_is_all(du):
         return None  # pi_var is not a finite transformation
-    rhs = inst.act(c.u, partial_identity(du))
-    return rhs == c.u, lambda: {"u*pi_dom": rhs}
+    rhs = inst.act(u, partial_identity(du))
+    return rhs == u, lambda: {"u*pi_dom": rhs}
 
 
-def _ax9(c: _Case):
-    inst = c.inst
-    d = inst.diag(c.x, c.x)
+def _ax9(inst, x):
+    d = inst.diag(x, x)
     return d != inst.zero(), lambda: {"d_xx": d}
 
 
-def _ax10(c: _Case):
-    inst = c.inst
-    lhs = inst.diag(c.x, c.y)
-    rhs = inst.act(inst.diag(c.x, c.x), FPTransform.of({c.x: c.x, c.y: c.x}))
+def _ax10(inst, x, y):
+    lhs = inst.diag(x, y)
+    rhs = inst.act(inst.diag(x, x), FPTransform.of({x: x, y: x}))
     return lhs == rhs, lambda: {"d_xy": lhs, "d_xx*(xx/xy)": rhs}
 
 
-def _ax11(c: _Case):
-    inst = c.inst
-    if c.u == inst.zero():
+def _ax11(inst, u, lam):
+    if u == inst.zero():
         return None
-    lhs = inst.dom(inst.act(c.u, c.lam))
-    rhs = preimage(c.lam, inst.dom(c.u))
-    return lhs == rhs, lambda: {"dom(u*lam)": lhs, "lam^-1(dom u)": sorted(rhs)}
+    lhs = inst.dom(inst.act(u, lam))
+    rhs = preimage(lam, inst.dom(u))
+    return lhs == rhs, lambda: {"dom(u*lam)": lhs, "lam^-1(dom u)": rhs}
 
 
-def _ax12(c: _Case):
-    inst = c.inst
-    if c.u == inst.zero():
+def _ax12(inst, u):
+    if u == inst.zero():
         return None
-    return not schema_is_all(inst.dom(c.u)), lambda: {"dom(u)": inst.dom(c.u)}
+    return not schema_is_all(inst.dom(u)), lambda: {"dom(u)": inst.dom(u)}
 
 
-def _ax13(c: _Case):
+def _ax13(inst, u, window):
     # two-sided inclusion; the right side ranges over all of var, so the
     # reverse direction is intersected with the window
-    inst = c.inst
-    du = inst.dom(c.u)
-    fwd_vars = c.window if schema_is_all(du) else du
-    fwd = all(inst.leq(c.u, inst.diag(x, x)) for x in fwd_vars)
-    below = frozenset(x for x in c.window if inst.leq(c.u, inst.diag(x, x)))
-    rev = below <= schema_intersect_window(du, c.window)
-    return fwd and rev, lambda: {"dom(u)": du, "{x in window: u<=d_xx}": sorted(below)}
+    du = inst.dom(u)
+    fwd_vars = window if schema_is_all(du) else du
+    fwd = all(inst.leq(u, inst.diag(x, x)) for x in fwd_vars)
+    below = frozenset(x for x in window if inst.leq(u, inst.diag(x, x)))
+    rev = below <= schema_intersect_window(du, window)
+    return fwd and rev, lambda: {"dom(u)": du, "{x in window: u<=d_xx}": below}
 
 
 _AXIOMS = {
@@ -377,174 +348,139 @@ AXIOM_IDS = tuple(_AXIOMS)
 # instances and mutants can be probed at the same scale.
 
 
-def _drv_dom_antitone(c: _Case):
-    inst = c.inst
-    u = inst.meet(c.u, c.v)
-    if not inst.leq(u, c.v):
+def _drv_dom_antitone(inst, u, v):
+    u = inst.meet(u, v)
+    if not inst.leq(u, v):
         return None
-    ok = schema_subset(inst.dom(c.v), inst.dom(u))
-    return ok, lambda: {"u_used": u, "dom(u)": inst.dom(u), "dom(v)": inst.dom(c.v)}
+    ok = schema_subset(inst.dom(v), inst.dom(u))
+    return ok, lambda: {"u_used": u, "dom(u)": inst.dom(u), "dom(v)": inst.dom(v)}
 
 
-def _drv_diag_dom(c: _Case):
-    inst = c.inst
-    d = inst.dom(inst.diag(c.x, c.y))
-    return d == frozenset({c.x, c.y}), lambda: {"dom(d_xy)": d}
+def _drv_diag_dom(inst, x, y):
+    d = inst.dom(inst.diag(x, y))
+    return d == frozenset({x, y}), lambda: {"dom(d_xy)": d}
 
 
-def _drv_zero_dom_all(c: _Case):
-    inst = c.inst
+def _drv_zero_dom_all(inst):
     return schema_is_all(inst.dom(inst.zero())), lambda: {"dom(0)": inst.dom(inst.zero())}
 
 
-def _drv_nonzero_iff_finite_dom(c: _Case):
-    inst = c.inst
-    finite = not schema_is_all(inst.dom(c.u))
-    return (c.u != inst.zero()) == finite, lambda: {"dom(u)": inst.dom(c.u)}
+def _drv_nonzero_iff_finite_dom(inst, u):
+    finite = not schema_is_all(inst.dom(u))
+    return (u != inst.zero()) == finite, lambda: {"dom(u)": inst.dom(u)}
 
 
-def _drv_one_iff_empty_dom(c: _Case):
-    inst = c.inst
-    empty_dom = inst.dom(c.u) == frozenset()
-    return (c.u == inst.one()) == empty_dom, lambda: {"dom(u)": inst.dom(c.u)}
+def _drv_one_iff_empty_dom(inst, u):
+    empty_dom = inst.dom(u) == frozenset()
+    return (u == inst.one()) == empty_dom, lambda: {"dom(u)": inst.dom(u)}
 
 
-def _drv_zero_neq_one(c: _Case):
-    inst = c.inst
+def _drv_zero_neq_one(inst):
     return inst.zero() != inst.one(), lambda: {}
 
 
-def _drv_one_absorbs_act(c: _Case):
-    inst = c.inst
-    lhs = inst.act(inst.one(), c.lam)
+def _drv_one_absorbs_act(inst, lam):
+    lhs = inst.act(inst.one(), lam)
     return lhs == inst.one(), lambda: {"one*lam": lhs}
 
 
-def _drv_act_astrict_dom(c: _Case):
-    inst = c.inst
-    du = inst.dom(c.u)
-    lam2 = c.lam if schema_is_all(du) else astrict(c.lam, du)
-    lhs = inst.act(c.u, c.lam)
-    rhs = inst.act(c.u, lam2)
+def _drv_act_astrict_dom(inst, u, lam):
+    du = inst.dom(u)
+    lam2 = lam if schema_is_all(du) else astrict(lam, du)
+    lhs = inst.act(u, lam)
+    rhs = inst.act(u, lam2)
     return lhs == rhs, lambda: {"u*lam": lhs, "u*lam|^dom": rhs}
 
 
-def _drv_meet_dom_union(c: _Case):
-    inst = c.inst
-    w = inst.meet(c.u, c.v)
+def _drv_meet_dom_union(inst, u, v):
+    w = inst.meet(u, v)
     if w == inst.zero():
         return None
     lhs = inst.dom(w)
-    rhs = schema_union(inst.dom(c.u), inst.dom(c.v))
+    rhs = schema_union(inst.dom(u), inst.dom(v))
     return lhs == rhs, lambda: {"dom(u^v)": lhs, "dom(u)|dom(v)": rhs}
 
 
-def _drv_order_via_dom_projection(c: _Case):
-    inst = c.inst
-    dv = inst.dom(c.v)
+def _drv_order_via_dom_projection(inst, u, v):
+    dv = inst.dom(v)
     if schema_is_all(dv):
         return None  # pi_var is not a finite transformation
     pi = partial_identity(dv)
-    lhs = inst.leq(c.u, c.v)
-    rhs = inst.leq(inst.act(c.u, pi), c.v)
+    lhs = inst.leq(u, v)
+    rhs = inst.leq(inst.act(u, pi), v)
     return lhs == rhs, lambda: {"u<=v": lhs, "u*pi_dom(v)<=v": rhs}
 
 
-def _drv_injective_act_meet(c: _Case):
-    inst = c.inst
-    lam = _random_injection(c.rng, c.window)
-    n = c.rng.randrange(0, 4)
-    vs = [c.rng.choice(c.elements) for _ in range(n)]
+def _drv_injective_act_meet(inst, vs, inj):
     doms = frozenset()
     for v in vs:
         doms = schema_union(doms, inst.dom(v))
-    if not schema_subset(doms, lam.rng):
+    if not schema_subset(doms, inj.rng):
         return None
     lhs = inst.one()
     for v in vs:
         lhs = inst.meet(lhs, v)
-    lhs = inst.act(lhs, lam)
+    lhs = inst.act(lhs, inj)
     rhs = inst.one()
     for v in vs:
-        rhs = inst.meet(rhs, inst.act(v, lam))
-    return lhs == rhs, lambda: {"vs": [repr(v) for v in vs], "lam_used": lam,
-                                "(meet)*lam": lhs, "meet(*lam)": rhs}
+        rhs = inst.meet(rhs, inst.act(v, inj))
+    return lhs == rhs, lambda: {"(meet)*inj": lhs, "meet(*inj)": rhs}
 
 
-def _drv_diag_rename_single(c: _Case):
-    inst = c.inst
-    lhs = inst.act(inst.diag(c.x, c.x), FPTransform.of({c.y: c.x}))
-    rhs = inst.diag(c.y, c.y)
-    return lhs == rhs, lambda: {"d_yy*(y/z)": lhs, "d_zz": rhs}
+def _drv_diag_rename_single(inst, x, y):
+    lhs = inst.act(inst.diag(x, x), FPTransform.of({y: x}))
+    rhs = inst.diag(y, y)
+    return lhs == rhs, lambda: {"d_xx*(x/y)": lhs, "d_yy": rhs}
 
 
-def _drv_diag_rename_pair(c: _Case):
-    inst = c.inst
-    z1, z2 = c.rng.sample(c.window, 2)
-    y1, y2 = c.rng.sample(c.window, 2)
-    lam = FPTransform.of({y1: z1, y2: z2})
-    lhs = inst.act(inst.diag(z1, z2), lam)
-    rhs = inst.diag(y1, y2)
-    return lhs == rhs, lambda: {"z1": z1, "z2": z2, "y1": y1, "y2": y2,
-                                "d_z1z2*lam": lhs, "d_y1y2": rhs}
+def _drv_diag_rename_pair(inst, x, y, z, w):
+    if x == y or z == w:
+        return None
+    lhs = inst.act(inst.diag(z, w), FPTransform.of({x: z, y: w}))
+    rhs = inst.diag(x, y)
+    return lhs == rhs, lambda: {"d_zw*(z/x,w/y)": lhs, "d_xy": rhs}
 
 
-def _drv_diag_symmetric(c: _Case):
-    inst = c.inst
-    return inst.diag(c.x, c.y) == inst.diag(c.y, c.x), lambda: {}
+def _drv_diag_symmetric(inst, x, y):
+    return inst.diag(x, y) == inst.diag(y, x), lambda: {}
 
 
-def _drv_folding_below_diagonal(c: _Case):
-    inst = c.inst
-    dv = inst.dom(c.v)
-    if schema_is_all(dv):
-        delta = _random_folding(c.rng, c.window)
-    else:
-        retract = frozenset(x for x in dv if c.rng.random() < 0.7)
-        df = retract | _random_subset(c.rng, c.window)
-        if not retract:
-            delta = EMPTY
-        else:
-            delta = _folding_onto(c.rng, df, retract)
-    lhs = inst.act(c.v, delta)
+def _drv_folding_below_diagonal(inst, v, delta):
+    if not schema_subset(delta.rng, inst.dom(v)):
+        return None
+    lhs = inst.act(v, delta)
     e = e_diag(inst, delta)
-    return inst.leq(lhs, e), lambda: {"delta": delta, "v*delta": lhs, "e_delta": e}
+    return inst.leq(lhs, e), lambda: {"v*delta": lhs, "e_delta": e}
 
 
-def _duplication_setup(c: _Case):
-    """Common hypothesis generator for the duplication properties: a folding
-    delta and v != 0 with df(delta) = dom(v) and v <= e_delta."""
-    inst = c.inst
-    du = inst.dom(c.u)
-    if schema_is_all(du) or not du:
-        return None
-    retract = frozenset(x for x in du if c.rng.random() < 0.6) or frozenset({min(du)})
-    delta = _folding_onto(c.rng, du, retract)
+def _duplication_case(inst, u, delta):
+    """The duplication hypotheses: v = u ∧ e_delta with df(delta) = dom(v),
+    so v <= e_delta.  Returns (e_delta, v), or None when they fail."""
+    if not schema_subset(inst.dom(u), delta.df):
+        return None  # then dom(v) = dom(u) ∪ df(delta) is not df(delta)
     e = e_diag(inst, delta)
-    v = e if c.rng.random() < 0.3 else inst.meet(c.u, e)
-    if v == inst.zero() or inst.dom(v) != delta.df:
+    v = inst.meet(u, e)
+    if inst.dom(v) != delta.df:
         return None
-    return delta, e, v
+    return e, v
 
 
-def _drv_duplication_meet(c: _Case):
-    inst = c.inst
-    setup = _duplication_setup(c)
-    if setup is None:
+def _drv_duplication_meet(inst, u, delta):
+    case = _duplication_case(inst, u, delta)
+    if case is None:
         return None
-    delta, e, v = setup
+    e, v = case
     rhs = inst.meet(inst.act(v, partial_identity(delta.rng)), e)
-    return v == rhs, lambda: {"delta": delta, "v_used": v, "rhs": rhs}
+    return v == rhs, lambda: {"v_used": v, "rhs": rhs}
 
 
-def _drv_duplication_fixed(c: _Case):
-    inst = c.inst
-    setup = _duplication_setup(c)
-    if setup is None:
+def _drv_duplication_fixed(inst, u, delta):
+    case = _duplication_case(inst, u, delta)
+    if case is None:
         return None
-    delta, _, v = setup
+    _, v = case
     rhs = inst.act(v, delta)
-    return v == rhs, lambda: {"delta": delta, "v_used": v, "v*delta": rhs}
+    return v == rhs, lambda: {"v_used": v, "v*delta": rhs}
 
 
 _DERIVED = {
@@ -596,21 +532,27 @@ def run_cases(check_id: str, seed: int, cases, body) -> CheckReport:
 
 
 def _run_check(inst, check_id, body, cfg: SampleConfig) -> CheckReport:
+    """Run ``body(inst, **case)``, where a case draws just the variables that
+    the body's parameters after ``inst`` name.  A counterexample lists those
+    values, then the body's extra fields."""
     rng = random.Random(cfg.seed)
     elements = inst.element_pool(cfg, rng)
-    transforms = _transform_pool(cfg, rng)
-    window = sorted(cfg.window)
-    cases = (_draw_case(inst, window, rng, elements, transforms, i)
-             for i in range(max(cfg.cases, len(elements))))
+    domains = _domains(rng, elements, _transform_pool(cfg, rng), sorted(cfg.window))
+    code = body.__code__
+    draws = [(name, domains[name]) for name in code.co_varnames[1:code.co_argcount]]
+    case = {}
 
-    def described(case):
-        outcome = body(case)
-        if outcome is None:
-            return None
-        ok, extra = outcome
-        return ok, lambda: case.describe(**extra())
+    def cases():
+        for i in range(max(cfg.cases, len(elements))):
+            for name, draw in draws:
+                case[name] = draw(i)
+            yield case
 
-    return run_cases(check_id, cfg.seed, cases, described)
+    report = run_cases(check_id, cfg.seed, cases(), lambda c: body(inst, **c))
+    if not report.passed:  # run_cases stops at a failure, so ``case`` is the failing one
+        fields = {**case, **report.counterexample}
+        report.counterexample = {k: _shown(v) for k, v in fields.items()}
+    return report
 
 
 def check_axiom(inst: OrbitalInstance, axiom_id: str, cfg: SampleConfig) -> CheckReport:

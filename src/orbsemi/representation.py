@@ -507,6 +507,15 @@ class PipelineReport:
 _PAIR_CAP = 4096
 
 
+def _labeling_checks(alpha: Labeling, level: str, cfg: SampleConfig, atoms) -> list:
+    """The labeling laws at ``level``, each id prefixed by the level (``quasi/L1``,
+    ``full/L1``), so that the two runs keep apart in one report."""
+    reports = check_labeling(alpha, level, cfg, tuple_atoms=atoms)
+    for r in reports:
+        r.check_id = f"{level}/{r.check_id}"
+    return reports
+
+
 def _reachable_elements(alpha_bar: Labeling, rng: random.Random) -> list:
     """Distinct label values over tuples with small domains, plus the bounds."""
     inst = alpha_bar.inst
@@ -554,8 +563,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
         frag_terms = H.terms
 
     alpha = Labeling(H.terms, inst, builder.alpha)
-    report.checks.extend(check_labeling(alpha, "quasi", cfg,
-                                        tuple_atoms=frag_terms))
+    report.checks.extend(_labeling_checks(alpha, "quasi", cfg, frag_terms))
 
     rep_of, alpha_bar = quotient(alpha, seed=cfg.seed, window=sorted(cfg.window))
     report.quotient_classes = len(alpha_bar.ground)
@@ -563,8 +571,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     # fragment-term classes are represented by fragment-depth terms
     frag_reps = frozenset(rep_of[t] for t in frag_terms)
     report.fragment_classes = len(frag_reps)
-    report.checks.extend(check_labeling(alpha_bar, "full", cfg,
-                                        tuple_atoms=frag_reps))
+    report.checks.extend(_labeling_checks(alpha_bar, "full", cfg, frag_reps))
 
     alpha_frag = Labeling(frag_reps, inst, builder.alpha)
     rng = random.Random(cfg.seed)

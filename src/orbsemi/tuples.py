@@ -44,8 +44,6 @@ EMPTY_TUPLE = NTuple(())
 
 #: t ∘ lam, defined on the lam-preimage of df(t)
 act = compose
-#: t|_X = t ∘ π_X
-restrict_tuple = restrict
 
 
 def extends(t: NTuple, tt: NTuple) -> bool:

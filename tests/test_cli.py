@@ -139,6 +139,18 @@ def test_empty_only_is_a_usage_error(command, only, capsys):
     assert captured.err == f"error: no checks match --only {only!r}\n"
 
 
+@pytest.mark.parametrize("command, only, ids", [
+    ("check-axioms", "A2,A1,A2,A1", ["A2", "A1"]),
+    ("check-props", "diag-dom,zero-neq-one,diag-dom", ["diag-dom", "zero-neq-one"]),
+    ("check-labeling", "emb-diag,L1,emb-diag,L1", ["emb-diag", "L1"]),
+])
+def test_repeated_only_ids_run_once_in_the_order_first_named(command, only, ids, capsys):
+    # check ids are unique within a report
+    assert main([command, "--ground", "a", "--cases", "20", "--only", only,
+                 "--format", "json"]) == 0
+    assert [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]] == ids
+
+
 def test_check_props(capsys):
     code = main(["check-props", "--ground", "a,b", "--only", "diag-symmetric",
                  "--cases", "50"])
@@ -218,13 +230,13 @@ rep-eval-via-cover: PASS (1/2 applicable cases)
 rep-kappa-nonzero: PASS (2/2 applicable cases)
 rep-extended-eta: PASS (1/1 applicable cases)
 rep-extension-witness: PASS (60/60 applicable cases)
-L1: PASS (40/40 applicable cases)
-L2: PASS (200/200 applicable cases)
-L3: PASS (130/200 applicable cases)
-L1: PASS (40/40 applicable cases)
-L2: PASS (200/200 applicable cases)
-L3: PASS (130/200 applicable cases)
-L4: PASS (62/200 applicable cases)
+quasi/L1: PASS (40/40 applicable cases)
+quasi/L2: PASS (200/200 applicable cases)
+quasi/L3: PASS (130/200 applicable cases)
+full/L1: PASS (40/40 applicable cases)
+full/L2: PASS (200/200 applicable cases)
+full/L3: PASS (130/200 applicable cases)
+full/L4: PASS (62/200 applicable cases)
 emb-dom: PASS (4/4 applicable cases)
 emb-injective: PASS (154/200 applicable cases)
 emb-meet: PASS (200/200 applicable cases)

@@ -13,7 +13,7 @@ import pytest
 
 from orbsemi.labeling import check_embedding, check_labeling, singleton_labeling
 from orbsemi.mutants import MUTANTS, make_mutant
-from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived
+from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived, check_derived
 from orbsemi.tables import TableAlgebra
 
 CFG = SampleConfig(cases=100)
@@ -23,17 +23,17 @@ CFG = SampleConfig(cases=100)
 KILLS = {
     "empty-proj-zero": (
         ["A1", "A4", "A7", "A8", "A11"],
-        ["one-absorbs-act", "act-astrict-dom"],
+        ["one-absorbs-act", "act-astrict-dom", "injective-act-meet"],
         ["emb-act"],
     ),
     "zero-act-top": (
         ["A2", "A3", "A5"],
-        ["order-via-dom-projection", "injective-act-meet", "folding-below-diagonal"],
+        ["order-via-dom-projection", "injective-act-meet"],
         ["emb-act"],
     ),
     "meet-incomparable-zero": (
         ["A3", "A6"],
-        ["folding-below-diagonal", "duplication-meet"],
+        ["folding-below-diagonal"],
         ["emb-meet"],
     ),
     "proj-drop-row": (
@@ -80,13 +80,14 @@ KILLS = {
     "dom-drop-max": (
         ["A3", "A6", "A8", "A11", "A13"],
         ["diag-dom", "one-iff-empty-dom", "act-astrict-dom", "meet-dom-union",
-         "order-via-dom-projection", "duplication-meet", "duplication-fixed"],
+         "order-via-dom-projection", "injective-act-meet", "duplication-meet",
+         "duplication-fixed"],
         ["L1", "L3", "emb-dom", "emb-injective", "emb-act", "emb-diag"],
     ),
     "dom-top-all": (
         ["A11", "A12", "A13"],
         ["dom-antitone", "nonzero-iff-finite-dom", "one-iff-empty-dom",
-         "meet-dom-union", "folding-below-diagonal"],
+         "meet-dom-union"],
         ["L1"],  # the emb-* checks raise; see the test below
     ),
     "dom-extra-var": (
@@ -121,6 +122,23 @@ def test_kill_matrix_row(base, mutant_id):
     if mutant_id != "dom-top-all":
         got += _failing(check_embedding(alpha, CFG))
     assert got == labeling
+
+
+#: (mutant, derived property) pairs that 100 cases do not catch at seed 0:
+#: the property's hypothesis is a filter on freely drawn variables, so few
+#: cases apply.  400 cases catch each of them at seeds 0-4.
+SLOW_KILLS = [
+    ("zero-act-top", "folding-below-diagonal"),
+    ("meet-incomparable-zero", "duplication-meet"),
+    ("dom-top-all", "folding-below-diagonal"),
+]
+
+
+@pytest.mark.parametrize("mutant_id, prop_id", SLOW_KILLS)
+def test_slow_kill_at_400_cases(base, mutant_id, prop_id):
+    inst = make_mutant(mutant_id, base)
+    for seed in range(5):
+        assert not check_derived(inst, prop_id, SampleConfig(cases=400, seed=seed)).passed
 
 
 def test_dom_top_all_embedding_raises(base):

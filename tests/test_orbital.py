@@ -7,7 +7,10 @@ from orbsemi.orbital import (
     DERIVED_IDS,
     TRANSFORM_BUDGET,
     SampleConfig,
-    _folding_onto,
+    _AXIOMS,
+    _DERIVED,
+    _domains,
+    _duplication_case,
     _random_folding,
     _random_injection,
     _transform_pool,
@@ -17,6 +20,7 @@ from orbsemi.orbital import (
     check_derived,
     e_diag,
 )
+from orbsemi.mutants import TARGETS, make_mutant
 from orbsemi.tables import TableAlgebra, natural_join
 from orbsemi.transforms import EMPTY, FPTransform, is_folding, partial_identity
 
@@ -83,7 +87,7 @@ def test_transform_pool_sampled_for_window_four():
     # the empty map, the identity on the window and seeded random draws
     cfg = SampleConfig(var_window=4)
     pool = _transform_pool(cfg, random.Random(0))
-    assert len(pool) == TRANSFORM_BUDGET
+    assert len(set(pool)) == len(pool) == TRANSFORM_BUDGET  # a repeat re-runs cases
     assert pool[:2] == [EMPTY, partial_identity({1, 2, 3, 4})]
     for lam in pool:
         assert lam.df <= cfg.window and lam.rng <= cfg.window
@@ -103,16 +107,46 @@ def test_random_injection_is_injective(width):
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5])
 def test_random_foldings_land_in_the_window_or_the_retract(width):
-    # folding-below-diagonal relies on this: rng(delta) lies in dom(v)
+    # folding-below-diagonal and the duplication laws take delta as drawn:
+    # its domain lies in the window and its values in the retract, the
+    # points that delta fixes
     window = list(range(1, width + 1))
     for seed in range(200):
-        rng = random.Random(seed)
-        delta = _random_folding(rng, window)
-        assert is_folding(delta) and delta.rng <= set(window)
-        retract = frozenset(x for x in window if rng.random() < 0.7) or frozenset(window[:1])
-        df = retract | frozenset(x for x in window if rng.random() < 0.5)
-        delta = _folding_onto(rng, df, retract)
-        assert is_folding(delta) and delta.df == df and delta.rng == retract
+        delta = _random_folding(random.Random(seed), window)
+        assert is_folding(delta) and delta.df <= set(window)
+        assert delta.rng == {x for x, y in delta.pairs if x == y}
+
+
+def _declared(body) -> list:
+    code = body.__code__
+    return list(code.co_varnames[1:code.co_argcount])
+
+
+@pytest.mark.parametrize("check_id, body", [*_AXIOMS.items(), *_DERIVED.items()])
+def test_every_quantified_variable_names_a_domain(check_id, body):
+    domains = _domains(random.Random(0), [], [], [])
+    assert body.__code__.co_varnames[0] == "inst"
+    assert set(_declared(body)) <= set(domains), check_id
+
+
+@pytest.mark.parametrize("axiom_id", AXIOM_IDS)
+def test_counterexample_lists_only_the_declared_variables(alg, axiom_id):
+    # the declared variables in order, then the body's extra fields, then
+    # case_index; no variable that the axiom does not quantify over
+    report = check_axiom(make_mutant(TARGETS[axiom_id], alg), axiom_id,
+                         SampleConfig(cases=100))
+    keys = list(report.counterexample)
+    declared = _declared(_AXIOMS[axiom_id])
+    assert keys[:len(declared)] == declared
+    assert keys[-1] == "case_index"
+    extras = keys[len(declared):-1]
+    assert extras and not set(extras) & set(_domains(random.Random(0), [], [], []))
+
+
+@pytest.mark.parametrize("body", [*_AXIOMS.values(), *_DERIVED.values(), _duplication_case])
+def test_bodies_draw_nothing_themselves(body):
+    # every value a case needs comes from the declared domains
+    assert not {"random", "choice", "sample", "randrange"} & set(body.__code__.co_names)
 
 
 def test_e_diag(alg):

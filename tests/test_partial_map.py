@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from orbsemi.transforms import FPTransform, PartialMap, astrict, compose, restrict
-from orbsemi.tuples import NTuple, act, restrict_tuple
+from orbsemi.tuples import NTuple, act
 
 variables = st.integers(1, 4)
 transforms = st.dictionaries(variables, variables, max_size=4).map(FPTransform.of)
@@ -57,4 +57,3 @@ def test_maps_of_different_kinds_never_compare_equal(lam):
 
 def test_tuple_operations_are_the_shared_ones():
     assert act is compose
-    assert restrict_tuple is restrict

@@ -197,8 +197,10 @@ def test_pipeline_single_atom(alg):
     assert report.quotient_classes == 1
     check_ids = {r.check_id for r in report.checks}
     assert {"rep-membership", "rep-kappa-dom", "rep-eta-recovery",
-            "rep-kappa-nonzero", "L1", "L2", "L3", "L4", "emb-dom",
-            "emb-meet", "emb-act", "emb-diag"} <= check_ids
+            "rep-kappa-nonzero", "quasi/L1", "quasi/L2", "quasi/L3", "full/L1",
+            "full/L2", "full/L3", "full/L4", "emb-dom", "emb-meet", "emb-act",
+            "emb-diag"} <= check_ids
+    assert len(check_ids) == len(report.checks)  # no id twice
 
 
 def test_pipeline_report_json(alg):

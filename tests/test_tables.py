@@ -20,9 +20,10 @@ from orbsemi.transforms import (
     compose,
     partial_identity,
     preimage,
+    restrict,
     schema_is_all,
 )
-from orbsemi.tuples import EMPTY_TUPLE, NTuple, restrict_tuple
+from orbsemi.tuples import EMPTY_TUPLE, NTuple
 
 G = frozenset({"a", "b"})
 
@@ -39,8 +40,8 @@ def naive_join(T1, T2):
     X = T1.schema | T2.schema
     rows = [
         t for t in all_rows(T1.ground, X)
-        if restrict_tuple(t, T1.schema) in T1.rows
-        and restrict_tuple(t, T2.schema) in T2.rows
+        if restrict(t, T1.schema) in T1.rows
+        and restrict(t, T2.schema) in T2.rows
     ]
     return Table.from_rows(T1.ground, rows)
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from orbsemi.transforms import FPTransform, compose, parse_transform, partial_identity
+from orbsemi.transforms import (FPTransform, compose, parse_transform, partial_identity,
+                                restrict)
 from orbsemi.tuples import (
     EMPTY_TUPLE,
     NTuple,
@@ -9,7 +10,6 @@ from orbsemi.tuples import (
     extends,
     merge,
     parse_tuple,
-    restrict_tuple,
 )
 
 
@@ -41,8 +41,8 @@ def test_act_respects_composition(t, lam, mu):
 
 @given(ntuples)
 def test_restrict_via_partial_identity(t):
-    assert restrict_tuple(t, {1, 2}) == act(t, partial_identity({1, 2}))
-    assert restrict_tuple(t, t.df) == t
+    assert restrict(t, {1, 2}) == act(t, partial_identity({1, 2}))
+    assert restrict(t, t.df) == t
 
 
 def test_extends():
