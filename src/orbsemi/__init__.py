@@ -48,6 +48,7 @@ from .labeling import (
     QuotientError,
     check_embedding,
     check_labeling,
+    check_law,
     extent,
     quotient,
     singleton_labeling,

@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from . import exprlang
-from .labeling import (EMBEDDING_IDS, LABELING_IDS, check_embedding, check_labeling,
-                       singleton_labeling)
+from .labeling import EMBEDDING_IDS, LEVELS, check_law, singleton_labeling
 from .mutants import MUTANTS, make_mutant
 from .orbital import (
     AXIOM_IDS,
@@ -75,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="labeling laws and extent-embedding checks")
     check_args(pl, with_mutate=False)
     pl.add_argument("--level", choices=["quasi", "full"], default="full")
-    pl.set_defaults(run=_cmd_check_labeling)
+    pl.set_defaults(run=lambda args, out: _cmd_check(
+        args, out, LEVELS[args.level] + EMBEDDING_IDS, check_law))
 
     pd = sub.add_parser("decompose",
                         help="factor a transformation into folding, bijection "
@@ -159,26 +159,13 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_check(args, out, ids, runner) -> int:
-    inst = TableAlgebra(_parse_ground(args.ground))
+    subject = TableAlgebra(_parse_ground(args.ground))
     if getattr(args, "mutate", None):
-        inst = make_mutant(args.mutate, inst)
+        subject = make_mutant(args.mutate, subject)
+    if getattr(args, "level", None):  # the laws share one labeling and its caches
+        subject = singleton_labeling(subject)
     cfg = _sample_config(args)
-    reports = [runner(inst, cid, cfg) for cid in _selected(args, ids)]
-    _emit_reports(reports, args.format, out)
-    return _exit_for(reports)
-
-
-def _cmd_check_labeling(args, out) -> int:
-    inst = TableAlgebra(_parse_ground(args.ground))
-    cfg = _sample_config(args)
-    alpha = singleton_labeling(inst)
-    wanted = _selected(args, LABELING_IDS + EMBEDDING_IDS)
-    # the laws share one rng, so all of them run and the selection is a filter
-    by_id = {r.check_id: r for r in
-             check_labeling(alpha, args.level, cfg) + check_embedding(alpha, cfg)}
-    reports = [by_id[cid] for cid in wanted if cid in by_id]
-    if not reports:
-        raise ValueError(f"no checks match --only {args.only!r}")
+    reports = [runner(subject, cid, cfg) for cid in _selected(args, ids)]
     _emit_reports(reports, args.format, out)
     return _exit_for(reports)
 

@@ -8,7 +8,7 @@ instance.  A quasi-labeling satisfies L1-L3, a full labeling additionally L4:
   L2  alpha(t ∘ lam) = alpha(t) · lam
   L3  df(t) ⊆ dom(v) and alpha(t) ≤ v·π_{df(t)}
         ⇒ some extension t~ over dom(v) has alpha(t~) ≤ v
-  L4  alpha(t) ≤ d_{z1 z2} ⇒ t(z1) = t(z2)
+  L4  alpha(t) ≤ d_{xy} ⇒ t(x) = t(y)
 
 L3's existential is decided by exhaustive witness search over G^{dom(v)};
 a fixed cap keeps the search bounded, and cap hits are reported
@@ -17,12 +17,11 @@ separately from failures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
-from .orbital import (ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _random_subset,
-                      _transform_pool, run_cases)
+from .orbital import (ELEMENT_BUDGET, WITNESS_CAP, CheckReport, OrbitalInstance,
+                      SampleConfig, _instance_pools, _run_check, _transform_pool)
 from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
@@ -46,6 +45,7 @@ class Labeling:
         self.inst = inst
         self.func = func
         self._cache = {}
+        self._extents = {}  # element -> extent, kept for the embedding laws
 
     def __call__(self, t: NTuple):
         got = self._cache.get(t)
@@ -77,30 +77,160 @@ def extent(alpha: Labeling, u) -> Table:
     return Table.from_rows(alpha.ground, rows)
 
 
-def _sample_tuples(atoms: list, cfg: SampleConfig, rng: random.Random) -> list:
-    """Deterministic tuple pool over the sorted ``atoms``: exhaustive over
-    two-variable schemas inside the window (when affordable), sampled beyond."""
-    window = sorted(cfg.window)
-    pool = [NTuple(())]
+class _Laws:
+    """The context of a labeling or embedding law: the labeling, the window,
+    the ground in atom order (the L3 witness search ranges over it), the
+    atoms that sampled tuples use and the elements, if any, that replace the
+    instance pool."""
+
+    def __init__(self, alpha: Labeling, cfg: SampleConfig, tuple_atoms, elements):
+        self.alpha, self.inst = alpha, alpha.inst
+        self.window = sorted(cfg.window)
+        self.atoms = sorted(alpha.ground, key=atom_key)
+        self.t_atoms = self.atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
+        self.elements = elements
+        self.capped = 0  # L3 cases whose witness search the cap skipped
+
+    def ext(self, u) -> Table:
+        """extent(alpha, u), computed once per labeling and element."""
+        got = self.alpha._extents.get(u)
+        if got is None:
+            got = self.alpha._extents[u] = extent(self.alpha, u)
+        return got
+
+    def element_pool(self, cfg: SampleConfig, rng: random.Random) -> list:
+        """The given elements, else the instance pool."""
+        return self.inst.element_pool(cfg, rng) if self.elements is None else self.elements
+
+
+def _tuple_pools(ctx: _Laws, cfg: SampleConfig, rng: random.Random):
+    """A labeling law's pools.  ``t`` walks the tuple pool over the tuple
+    atoms: exhaustive over two-variable schemas inside the window (when
+    affordable), sampled beyond."""
+    window, atoms = sorted(cfg.window), ctx.t_atoms
+    tuples = [NTuple(())]
     small = [X for X in subsets(window) if 1 <= len(X) <= 2]
-    budgeted = sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET
-    if budgeted:
+    if sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET:
         for X in small:
-            pool.extend(all_rows(atoms, X))
-    while len(pool) < ELEMENT_BUDGET:
+            tuples.extend(all_rows(atoms, X))
+    while len(tuples) < ELEMENT_BUDGET:
         X = [x for x in window if rng.random() < 0.6]
-        pool.append(NTuple.of({x: rng.choice(atoms) for x in X}))
-    return pool
+        tuples.append(NTuple.of({x: rng.choice(atoms) for x in X}))
+    transforms = _transform_pool(cfg, rng)
+    return tuples, {"tuples": tuples, "transforms": transforms,
+                    "elements": ctx.element_pool(cfg, rng)}
 
 
-#: the labeling laws in run order; level "quasi" runs the first three
-LABELING_IDS = ("L1", "L2", "L3", "L4")
-EMBEDDING_IDS = ("emb-dom", "emb-injective", "emb-meet", "emb-act", "emb-diag",
-                 "emb-bounds")
+# ---------------------------------------------------------------------------
+# Law bodies.  As for the axioms (see orbital._run_check), a body's parameters
+# after ``ctx`` are the variables it quantifies over.
 
 
-#: the largest tuple space the L3 check enumerates
-_WITNESS_CAP = 256
+def _l1(ctx, t):
+    d = ctx.inst.dom(ctx.alpha(t))
+    return d == t.df, lambda: {"alpha(t)": ctx.alpha(t), "dom": d}
+
+
+def _l2(ctx, t, lam):
+    lhs = ctx.alpha(act(t, lam))
+    rhs = ctx.inst.act(ctx.alpha(t), lam)
+    return lhs == rhs, lambda: {"alpha(t∘lam)": lhs, "alpha(t)·lam": rhs}
+
+
+def _l3(ctx, t, v, Y, k):
+    # the hypothesis steers t when the drawn one misses it: then t is the
+    # k-th (cyclically) of the tuples over X = Y ∩ dom(v) below v·π_X
+    alpha, inst = ctx.alpha, ctx.inst
+    dv = inst.dom(v)
+    if schema_is_all(dv):
+        return None
+    if not (t.df <= dv and inst.leq(alpha(t), inst.act(v, partial_identity(t.df)))):
+        X = Y & dv
+        if len(ctx.t_atoms) ** len(X) > WITNESS_CAP:
+            return None
+        u = inst.act(v, partial_identity(X))
+        below = [s for s in all_rows(ctx.t_atoms, X) if inst.leq(alpha(s), u)]
+        if not below:
+            return None
+        t = below[k % len(below)]
+    missing = sorted(dv - t.df)
+    if len(ctx.atoms) ** len(missing) > WITNESS_CAP:
+        ctx.capped += 1
+        return None
+    found = any(inst.leq(alpha(merge(t, NTuple.of(dict(zip(missing, combo))))), v)
+                for combo in itertools.product(ctx.atoms, repeat=len(missing)))
+    return found, lambda: {"t_used": t}
+
+
+def _l4(ctx, t, x, y):
+    if not ctx.inst.leq(ctx.alpha(t), ctx.inst.diag(x, y)):
+        return None
+    return t.get(x) == t.get(y), lambda: {}
+
+
+def _emb_dom(ctx, u):
+    e = ctx.ext(u)
+    return e.schema == ctx.inst.dom(u), lambda: {"ext(u)": e}
+
+
+def _emb_injective(ctx, u, v):
+    if u == v:
+        return None
+    return ctx.ext(u) != ctx.ext(v), lambda: {"ext": ctx.ext(u)}
+
+
+def _emb_meet(ctx, u, v):
+    lhs = ctx.ext(ctx.inst.meet(u, v))
+    rhs = natural_join(ctx.ext(u), ctx.ext(v))
+    return lhs == rhs, lambda: {"ext(u^v)": lhs, "ext(u)⋈ext(v)": rhs}
+
+
+def _emb_act(ctx, u, lam):
+    lhs = ctx.ext(ctx.inst.act(u, lam))
+    rhs = act_table(ctx.ext(u), lam)
+    return lhs == rhs, lambda: {"ext(u·lam)": lhs, "ext(u)·lam": rhs}
+
+
+def _emb_diag(ctx):
+    for x, y in itertools.product(ctx.window, repeat=2):
+        lhs, rhs = ctx.ext(ctx.inst.diag(x, y)), diagonal(x, y, ctx.alpha.ground)
+        if lhs != rhs:
+            return False, lambda: {"x": x, "y": y, "ext(d_xy)": lhs, "E_xy": rhs}
+    return True, lambda: {}
+
+
+def _emb_bounds(ctx):
+    e0, e1 = ctx.ext(ctx.inst.zero()), ctx.ext(ctx.inst.one())
+    return not e0.rows and e1.rows == {NTuple(())}, lambda: {"ext(0)": e0, "ext(1)": e1}
+
+
+_LABELING = {"L1": _l1, "L2": _l2, "L3": _l3, "L4": _l4}
+_EMBEDDING = {
+    "emb-dom": _emb_dom, "emb-injective": _emb_injective, "emb-meet": _emb_meet,
+    "emb-act": _emb_act, "emb-diag": _emb_diag, "emb-bounds": _emb_bounds,
+}
+
+LABELING_IDS = tuple(_LABELING)
+EMBEDDING_IDS = tuple(_EMBEDDING)
+#: the labeling laws that each level checks
+LEVELS = {"quasi": LABELING_IDS[:3], "full": LABELING_IDS}
+
+
+def check_law(alpha: Labeling, law_id: str, cfg: SampleConfig, tuple_atoms=None,
+              elements=None) -> CheckReport:
+    """Check one labeling law (L1-L4) or embedding law (``emb-*``) of
+    ``alpha`` on its own stream, seeded by ``cfg.seed``.  ``tuple_atoms`` and
+    ``elements`` are as in check_labeling and check_embedding."""
+    ctx = _Laws(alpha, cfg, tuple_atoms, elements)
+    if law_id in _LABELING:
+        report = _run_check(ctx, law_id, _LABELING[law_id], cfg, _tuple_pools)
+    elif law_id in _EMBEDDING:
+        report = _run_check(ctx, law_id, _EMBEDDING[law_id], cfg, _instance_pools)
+    else:
+        raise ValueError(f"unknown law id {law_id!r}")
+    if law_id == "L3":
+        report.notes["witness_search_capped"] = ctx.capped
+    return report
 
 
 def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
@@ -112,91 +242,14 @@ def check_labeling(alpha: Labeling, level: str, cfg: SampleConfig,
     check sound on truncated grounds, where witnesses for the deepest atoms
     would fall outside the built fragment.
 
-    Returns one CheckReport per law.  The laws draw from one rng in order, so
-    a law's cases depend on the laws run before it.
+    Returns one CheckReport per law.  Each law draws from its own stream, so
+    its report is the one that check_law gives for it alone.
     """
-    if level not in ("quasi", "full"):
+    if level not in LEVELS:
         raise ValueError(f"level must be 'quasi' or 'full', got {level!r}")
     if tuple_atoms is not None and not frozenset(tuple_atoms) <= alpha.ground:
         raise ValueError("tuple_atoms must lie inside the ground set")
-    inst = alpha.inst
-    rng = random.Random(cfg.seed)
-    atoms = sorted(alpha.ground, key=atom_key)
-    t_atoms = atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
-    tuples = _sample_tuples(t_atoms, cfg, rng)
-    transforms = _transform_pool(cfg, rng)
-    elements = inst.element_pool(cfg, rng)
-    window = sorted(cfg.window)
-
-    def pick(i):
-        return tuples[i] if i < len(tuples) else rng.choice(tuples)
-
-    def l1(t):
-        d = inst.dom(alpha(t))
-        return d == t.df, lambda: {"t": repr(t), "alpha(t)": repr(alpha(t)),
-                                   "dom": repr(d)}
-
-    def l2(case):
-        t, lam = case
-        lhs = alpha(act(t, lam))
-        rhs = inst.act(alpha(t), lam)
-        return lhs == rhs, lambda: {"t": repr(t), "lam": repr(lam),
-                                    "alpha(t∘lam)": repr(lhs),
-                                    "alpha(t)·lam": repr(rhs)}
-
-    capped = 0
-
-    def l3(_):
-        nonlocal capped
-        if rng.random() < 0.5 and elements:
-            # directed: project a sampled element and pick a tuple below it
-            v = rng.choice(elements)
-            dv = inst.dom(v)
-            if v == inst.zero() or schema_is_all(dv):
-                return None
-            X = _random_subset(rng, sorted(dv))
-            u = inst.act(v, partial_identity(X))
-            candidates = [
-                t for t in all_rows(t_atoms, X)
-                if inst.leq(alpha(t), u)
-            ] if len(t_atoms) ** len(X) <= _WITNESS_CAP else []
-            if not candidates:
-                return None
-            t = rng.choice(candidates)
-        else:
-            t = rng.choice(tuples)
-            v = rng.choice(elements)
-            dv = inst.dom(v)
-            if schema_is_all(dv) or not t.df <= dv:
-                return None
-            if not inst.leq(alpha(t), inst.act(v, partial_identity(t.df))):
-                return None
-        missing = sorted(dv - t.df)
-        if len(atoms) ** len(missing) > _WITNESS_CAP:
-            capped += 1
-            return None
-        found = any(inst.leq(alpha(merge(t, NTuple.of(dict(zip(missing, combo))))), v)
-                    for combo in itertools.product(atoms, repeat=len(missing)))
-        return found, lambda: {"t": repr(t), "v": repr(v)}
-
-    def l4(case):
-        t, z1, z2 = case
-        if not inst.leq(alpha(t), inst.diag(z1, z2)):
-            return None
-        return t.get(z1) == t.get(z2), lambda: {"t": repr(t), "z1": z1, "z2": z2}
-
-    n = max(cfg.cases, len(tuples))
-    reports = [
-        run_cases("L1", cfg.seed, tuples, l1),
-        run_cases("L2", cfg.seed, ((pick(i), rng.choice(transforms)) for i in range(n)), l2),
-        run_cases("L3", cfg.seed, range(cfg.cases), l3),
-    ]
-    reports[-1].notes["witness_search_capped"] = capped
-    if level == "full":
-        cases = ((pick(i), rng.choice(window), rng.choice(window))
-                 for i in range(cfg.cases))
-        reports.append(run_cases("L4", cfg.seed, cases, l4))
-    return reports
+    return [check_law(alpha, law, cfg, tuple_atoms=tuple_atoms) for law in LEVELS[level]]
 
 
 def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
@@ -205,67 +258,8 @@ def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
     schemas match domains.
 
     ``elements`` overrides the instance pool, e.g. to restrict the check to
-    elements reachable as labels."""
-    inst = alpha.inst
-    rng = random.Random(cfg.seed)
-    if elements is None:
-        elements = inst.element_pool(cfg, rng)
-    transforms = _transform_pool(cfg, rng)
-    window = sorted(cfg.window)
-    ext_of = functools.cache(lambda u: extent(alpha, u))
-
-    def pairs_with(pool):
-        """Every element in turn, then random ones, each with a draw from pool."""
-        return ((elements[i] if i < len(elements) else rng.choice(elements),
-                 rng.choice(pool)) for i in range(max(cfg.cases, len(elements))))
-
-    def schema_is_dom(u):
-        return ext_of(u).schema == inst.dom(u), lambda: {"u": repr(u),
-                                                         "ext(u)": repr(ext_of(u))}
-
-    def injective(case):
-        u, v = case
-        if u == v:
-            return None
-        return ext_of(u) != ext_of(v), lambda: {"u": repr(u), "v": repr(v),
-                                                "ext": repr(ext_of(u))}
-
-    def meet_to_join(case):
-        u, v = case
-        lhs = ext_of(inst.meet(u, v))
-        rhs = natural_join(ext_of(u), ext_of(v))
-        return lhs == rhs, lambda: {"u": repr(u), "v": repr(v),
-                                    "ext(u^v)": repr(lhs), "ext(u)⋈ext(v)": repr(rhs)}
-
-    def act_preserved(case):
-        u, lam = case
-        lhs = ext_of(inst.act(u, lam))
-        rhs = act_table(ext_of(u), lam)
-        return lhs == rhs, lambda: {"u": repr(u), "lam": repr(lam),
-                                    "ext(u·lam)": repr(lhs), "ext(u)·lam": repr(rhs)}
-
-    def diag_preserved(case):
-        x, y = case
-        lhs = ext_of(inst.diag(x, y))
-        rhs = diagonal(x, y, alpha.ground)
-        return lhs == rhs, lambda: {"x": x, "y": y, "ext(d_xy)": repr(lhs),
-                                    "E_xy": repr(rhs)}
-
-    def bound_preserved(case):
-        name, u, rows = case
-        return ext_of(u).rows == rows, lambda: {name: repr(ext_of(u))}
-
-    bounds = [("ext(0)", inst.zero(), frozenset()),
-              ("ext(1)", inst.one(), frozenset({NTuple(())}))]
-    return [
-        run_cases("emb-dom", cfg.seed, elements, schema_is_dom),
-        run_cases("emb-injective", cfg.seed, pairs_with(elements), injective),
-        run_cases("emb-meet", cfg.seed, pairs_with(elements), meet_to_join),
-        run_cases("emb-act", cfg.seed, pairs_with(transforms), act_preserved),
-        run_cases("emb-diag", cfg.seed, itertools.product(window, window),
-                  diag_preserved),
-        run_cases("emb-bounds", cfg.seed, bounds, bound_preserved),
-    ]
+    elements reachable as labels.  The laws share the labeling's extents."""
+    return [check_law(alpha, law, cfg, elements=elements) for law in EMBEDDING_IDS]
 
 
 #: exchange-property spot checks that ``quotient`` draws

@@ -38,6 +38,9 @@ ELEMENT_BUDGET = 40
 TRANSFORM_BUDGET = 64
 #: a window with at most this many transformations puts all of them in the pool
 TRANSFORM_ENUMERATION_CAP = 130
+#: the largest tuple space that the L3 check enumerates, and the range of
+#: the index ``k`` by which it picks one of the tuples it enumerated
+WITNESS_CAP = 256
 
 
 @dataclass
@@ -197,13 +200,15 @@ def _random_injection(rng: random.Random, window: list) -> FPTransform:
     return FPTransform.of(dict(zip(srcs, tgts)))
 
 
-def _domains(rng: random.Random, elements: list, transforms: list, window: list) -> dict:
+def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuples=()) -> dict:
     """Each variable a check may quantify over, and how its value in case
-    ``i`` is drawn.  ``u`` runs through the element pool in order before it
-    samples, so the first quantifier position exhausts the pool."""
+    ``i`` is drawn.  ``u`` runs through the element pool and ``t`` through
+    the tuple pool in order before they sample, so the first quantifier
+    position exhausts its pool."""
     choice = rng.choice
     return {
         "u": lambda i: elements[i] if i < len(elements) else choice(elements),
+        "t": lambda i: tuples[i] if i < len(tuples) else choice(tuples),
         "v": lambda _: choice(elements),
         "vs": lambda _: [choice(elements) for _ in range(rng.randrange(4))],
         "lam": lambda _: choice(transforms),
@@ -213,10 +218,17 @@ def _domains(rng: random.Random, elements: list, transforms: list, window: list)
         "z": lambda _: choice(window),
         "w": lambda _: choice(window),
         "Y": lambda _: _random_subset(rng, window),
+        "k": lambda _: rng.randrange(WITNESS_CAP),
         "inj": lambda _: _random_injection(rng, window),
         "delta": lambda _: _random_folding(rng, window),
         "window": lambda _: window,
     }
+
+
+def _instance_pools(inst, cfg: SampleConfig, rng: random.Random):
+    """An axiom or derived check's pools; ``u`` walks the element pool."""
+    elements = inst.element_pool(cfg, rng)
+    return elements, {"elements": elements, "transforms": _transform_pool(cfg, rng)}
 
 
 def _shown(value):
@@ -531,24 +543,29 @@ def run_cases(check_id: str, seed: int, cases, body) -> CheckReport:
     return report
 
 
-def _run_check(inst, check_id, body, cfg: SampleConfig) -> CheckReport:
-    """Run ``body(inst, **case)``, where a case draws just the variables that
-    the body's parameters after ``inst`` name.  A counterexample lists those
-    values, then the body's extra fields."""
-    rng = random.Random(cfg.seed)
-    elements = inst.element_pool(cfg, rng)
-    domains = _domains(rng, elements, _transform_pool(cfg, rng), sorted(cfg.window))
+def _run_check(ctx, check_id, body, cfg: SampleConfig, pools) -> CheckReport:
+    """Run ``body(ctx, **case)``, where a case draws just the variables that
+    the body's parameters after its context ``ctx`` name.  ``pools(ctx, cfg,
+    rng)`` builds, from the check's own stream, the pool that ``u`` or ``t``
+    walks and the pools that ``_domains`` draws from.  The check runs
+    max(``cfg.cases``, walked pool size) cases, or one case when the body
+    declares no variable.  A counterexample lists the drawn values, then the
+    body's extra fields."""
     code = body.__code__
-    draws = [(name, domains[name]) for name in code.co_varnames[1:code.co_argcount]]
+    names = code.co_varnames[1:code.co_argcount]
+    rng = random.Random(cfg.seed)
+    walked, built = pools(ctx, cfg, rng) if names else ((), {})
+    domains = _domains(rng, sorted(cfg.window), **built)
+    draws = [(name, domains[name]) for name in names]
     case = {}
 
     def cases():
-        for i in range(max(cfg.cases, len(elements))):
+        for i in range(max(cfg.cases, len(walked)) if draws else 1):
             for name, draw in draws:
                 case[name] = draw(i)
             yield case
 
-    report = run_cases(check_id, cfg.seed, cases(), lambda c: body(inst, **c))
+    report = run_cases(check_id, cfg.seed, cases(), lambda c: body(ctx, **c))
     if not report.passed:  # run_cases stops at a failure, so ``case`` is the failing one
         fields = {**case, **report.counterexample}
         report.counterexample = {k: _shown(v) for k, v in fields.items()}
@@ -559,14 +576,14 @@ def check_axiom(inst: OrbitalInstance, axiom_id: str, cfg: SampleConfig) -> Chec
     """Check one of (A1)-(A13) on sampled cases from the window."""
     if axiom_id not in _AXIOMS:
         raise ValueError(f"unknown axiom id {axiom_id!r}")
-    return _run_check(inst, axiom_id, _AXIOMS[axiom_id], cfg)
+    return _run_check(inst, axiom_id, _AXIOMS[axiom_id], cfg, _instance_pools)
 
 
 def check_derived(inst: OrbitalInstance, prop_id: str, cfg: SampleConfig) -> CheckReport:
     """Check one of the derived properties (see DERIVED_IDS)."""
     if prop_id not in _DERIVED:
         raise ValueError(f"unknown property id {prop_id!r}")
-    return _run_check(inst, prop_id, _DERIVED[prop_id], cfg)
+    return _run_check(inst, prop_id, _DERIVED[prop_id], cfg, _instance_pools)
 
 
 def check_all_axioms(inst: OrbitalInstance, cfg: SampleConfig) -> list:

@@ -13,6 +13,7 @@ from orbsemi.orbital import (
     AXIOM_IDS,
     DERIVED_IDS,
     SampleConfig,
+    _DERIVED,
     check_all_axioms,
     check_all_derived,
     check_axiom,
@@ -109,6 +110,10 @@ def test_criterion_4_derived_suite():
     weakest = None
     for r in check_all_derived(alg, cfg):
         assert r.passed, r.summary()
+        if _DERIVED[r.check_id].__code__.co_argcount == 1:
+            # a law without variables runs once, and that case decides it
+            assert (r.cases_run, r.cases_applicable) == (1, 1), r.check_id
+            continue
         assert r.cases_applicable >= 100, (r.check_id, r.cases_applicable)
         if weakest is None or r.cases_applicable < weakest[1]:
             weakest = (r.check_id, r.cases_applicable)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orbsemi import labeling
 from orbsemi.cli import main
 from orbsemi.tableio import table_to_csv, table_to_json
 from orbsemi.tables import Table
@@ -166,17 +167,23 @@ def test_check_labeling(capsys):
         assert f"{cid}: PASS" in out
 
 
-def test_check_labeling_only(capsys):
+def test_check_labeling_only(capsys, monkeypatch):
     assert main(["check-labeling", "--ground", "a", "--only", "L1,bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+    # --only chooses what runs: no other law is evaluated
+    ran = []
+    run_check = labeling._run_check
+    monkeypatch.setattr(labeling, "_run_check",
+                        lambda ctx, cid, *rest: ran.append(cid) or run_check(ctx, cid, *rest))
     assert main(["check-labeling", "--ground", "a", "--only", "L2,emb-diag",
                  "--format", "json"]) == 0
     ids = [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]]
-    assert ids == ["L2", "emb-diag"]
-    # L4 is a known id, but the quasi level does not run it
+    assert ids == ran == ["L2", "emb-diag"]
+    # the quasi level knows no L4
     assert main(["check-labeling", "--ground", "a", "--only", "L4",
                  "--level", "quasi"]) == 2
-    capsys.readouterr()
+    assert "unknown check ids ['L4']" in capsys.readouterr().err
+    assert ran == ["L2", "emb-diag"]
 
 
 def test_decompose(capsys):
@@ -230,19 +237,19 @@ rep-eval-via-cover: PASS (1/2 applicable cases)
 rep-kappa-nonzero: PASS (2/2 applicable cases)
 rep-extended-eta: PASS (1/1 applicable cases)
 rep-extension-witness: PASS (60/60 applicable cases)
-quasi/L1: PASS (40/40 applicable cases)
+quasi/L1: PASS (200/200 applicable cases)
 quasi/L2: PASS (200/200 applicable cases)
-quasi/L3: PASS (130/200 applicable cases)
-full/L1: PASS (40/40 applicable cases)
+quasi/L3: PASS (175/200 applicable cases)
+full/L1: PASS (200/200 applicable cases)
 full/L2: PASS (200/200 applicable cases)
-full/L3: PASS (130/200 applicable cases)
-full/L4: PASS (62/200 applicable cases)
-emb-dom: PASS (4/4 applicable cases)
+full/L3: PASS (175/200 applicable cases)
+full/L4: PASS (57/200 applicable cases)
+emb-dom: PASS (200/200 applicable cases)
 emb-injective: PASS (154/200 applicable cases)
 emb-meet: PASS (200/200 applicable cases)
 emb-act: PASS (200/200 applicable cases)
-emb-diag: PASS (9/9 applicable cases)
-emb-bounds: PASS (2/2 applicable cases)
+emb-diag: PASS (1/1 applicable cases)
+emb-bounds: PASS (1/1 applicable cases)
 """
 
 

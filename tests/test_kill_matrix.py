@@ -65,7 +65,7 @@ KILLS = {
         ["A3", "A7", "A8"],
         ["act-astrict-dom", "order-via-dom-projection", "injective-act-meet",
          "diag-rename-pair", "duplication-meet", "duplication-fixed"],
-        ["L2", "L3"],
+        ["L2", "L3", "emb-act"],
     ),
     "diag-xx-empty": (
         ["A9", "A10", "A13"],

@@ -1,14 +1,19 @@
 import pytest
 
+from orbsemi import labeling
 from orbsemi.labeling import (
+    EMBEDDING_IDS,
+    LEVELS,
     Labeling,
     QuotientError,
     check_embedding,
     check_labeling,
+    check_law,
     extent,
     quotient,
     singleton_labeling,
 )
+from orbsemi.mutants import make_mutant
 from orbsemi.orbital import SampleConfig
 from orbsemi.tables import Table, TableAlgebra, act_table, enumerate_tables, subsets
 from orbsemi.transforms import FPTransform
@@ -191,3 +196,44 @@ def test_quotient_rejects_exchange_violation(alg):
     alpha = Labeling(G3, alg3, broken)
     with pytest.raises(QuotientError):
         quotient(alpha)
+
+
+@pytest.mark.parametrize("level, law_id", [*((level, law_id) for level, ids in LEVELS.items()
+                                             for law_id in ids),
+                                           *((None, law_id) for law_id in EMBEDDING_IDS)])
+def test_a_law_alone_reports_as_in_its_suite(alg, level, law_id):
+    # each law draws from its own stream, so running it alone changes nothing;
+    # a fresh labeling for each run keeps the caches apart
+    cfg = SampleConfig(cases=60, seed=2)
+    alpha = singleton_labeling(alg)
+    suite = check_embedding(alpha, cfg) if level is None else check_labeling(alpha, level, cfg)
+    alone = check_law(singleton_labeling(alg), law_id, cfg)
+    assert alone.to_json() == next(r for r in suite if r.check_id == law_id).to_json()
+
+
+def test_isolated_laws_match_on_a_mutant(alg):
+    # failing reports, counterexamples included, do not depend on the laws run before
+    alpha = singleton_labeling(make_mutant("act-trim-map", alg))
+    cfg = SampleConfig(cases=100)
+    suite = check_labeling(alpha, "full", cfg) + check_embedding(alpha, cfg)
+    alone = [check_law(singleton_labeling(alpha.inst), r.check_id, cfg) for r in suite]
+    assert any(not r.passed for r in suite)
+    assert [r.to_json() for r in alone] == [r.to_json() for r in suite]
+
+
+def test_laws_without_variables_run_once_and_name_what_failed(alg):
+    alpha = singleton_labeling(make_mutant("diag-xx-empty", alg))
+    diag = check_law(alpha, "emb-diag", SampleConfig(cases=100))
+    assert (diag.cases_run, diag.passed) == (1, False)
+    assert {"x", "y", "ext(d_xy)", "E_xy"} <= set(diag.counterexample)
+    bounds = check_law(singleton_labeling(alg), "emb-bounds", SampleConfig(cases=100))
+    assert (bounds.cases_run, bounds.cases_applicable, bounds.passed) == (1, 1, True)
+
+
+def test_embedding_laws_share_the_labelings_extents(alg, monkeypatch):
+    # each element's extent is computed once per labeling, across all laws
+    calls = []
+    monkeypatch.setattr(labeling, "extent",
+                        lambda a, u: calls.append(u) or extent(a, u))
+    check_embedding(singleton_labeling(alg), SampleConfig(cases=60))
+    assert calls and len(calls) == len(set(calls))

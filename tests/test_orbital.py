@@ -20,6 +20,7 @@ from orbsemi.orbital import (
     check_derived,
     e_diag,
 )
+from orbsemi.labeling import _EMBEDDING, _LABELING
 from orbsemi.mutants import TARGETS, make_mutant
 from orbsemi.tables import TableAlgebra, natural_join
 from orbsemi.transforms import EMPTY, FPTransform, is_folding, partial_identity
@@ -122,10 +123,14 @@ def _declared(body) -> list:
     return list(code.co_varnames[1:code.co_argcount])
 
 
-@pytest.mark.parametrize("check_id, body", [*_AXIOMS.items(), *_DERIVED.items()])
+@pytest.mark.parametrize("check_id, body", [*_AXIOMS.items(), *_DERIVED.items(),
+                                            *_LABELING.items(), *_EMBEDDING.items()])
 def test_every_quantified_variable_names_a_domain(check_id, body):
-    domains = _domains(random.Random(0), [], [], [])
-    assert body.__code__.co_varnames[0] == "inst"
+    # an undeclared name would raise KeyError, which the CLI reports as a
+    # usage error (exit 2) instead of a verification fault
+    domains = _domains(random.Random(0), [])
+    context = "ctx" if check_id in {*_LABELING, *_EMBEDDING} else "inst"
+    assert body.__code__.co_varnames[0] == context
     assert set(_declared(body)) <= set(domains), check_id
 
 
@@ -140,13 +145,21 @@ def test_counterexample_lists_only_the_declared_variables(alg, axiom_id):
     assert keys[:len(declared)] == declared
     assert keys[-1] == "case_index"
     extras = keys[len(declared):-1]
-    assert extras and not set(extras) & set(_domains(random.Random(0), [], [], []))
+    assert extras and not set(extras) & set(_domains(random.Random(0), []))
 
 
-@pytest.mark.parametrize("body", [*_AXIOMS.values(), *_DERIVED.values(), _duplication_case])
+@pytest.mark.parametrize("body", [*_AXIOMS.values(), *_DERIVED.values(), _duplication_case,
+                                  *_LABELING.values(), *_EMBEDDING.values()])
 def test_bodies_draw_nothing_themselves(body):
     # every value a case needs comes from the declared domains
     assert not {"random", "choice", "sample", "randrange"} & set(body.__code__.co_names)
+
+
+@pytest.mark.parametrize("prop_id", ["zero-dom-all", "zero-neq-one"])
+def test_a_check_without_variables_runs_one_case(alg, prop_id):
+    # the case draws nothing, so more cases would repeat it
+    report = check_derived(alg, prop_id, SampleConfig(cases=50))
+    assert (report.cases_run, report.cases_applicable, report.passed) == (1, 1, True)
 
 
 def test_e_diag(alg):
