@@ -63,9 +63,53 @@ def test_variable_named_twice_rejected():
         table_from_json({"schema": ["x2", "x2"], "rows": [["a", "a"]]})
 
 
+def _load(fmt, header, rows, ground=None):
+    """The table that the CSV or JSON loader reads from ``header`` and ``rows``."""
+    if fmt == "csv":
+        text = "".join(",".join(r) + "\n" for r in [header, *rows])
+        return table_from_csv(text, ground=ground)
+    return table_from_json({"schema": header, "rows": rows}, ground=ground)
+
+
+# (header, rows, ground, error text); "{what}" is "header" for CSV and "schema"
+# for JSON
+LOADER_ERRORS = [
+    (["x1", "x2", "x1"], [["a", "b", "a"]], None,
+     "{what} ['x1', 'x2', 'x1'] names a variable twice"),
+    (["x1", "y1"], [["a", "b"]], None, "not a variable: 'y1'"),
+    (["x0"], [["a"]], None, "not a variable: 'x0'"),
+    (["x1", "x2"], [["a"]], None, "row ['a'] does not match {what} ['x1', 'x2']"),
+    (["x1", "x2"], [["a", "b", "c"]], None,
+     "row ['a', 'b', 'c'] does not match {what} ['x1', 'x2']"),
+    (["x2", "x1"], [["z", "b"], ["c", "y"]], G, "atoms ['c', 'y', 'z'] outside ground set"),
+    # two faults in one input: the one listed first here wins
+    (["x1", "y1", "x1"], [["a"]], None, "not a variable: 'y1'"),
+    (["x1", "x1"], [["a"]], None, "{what} ['x1', 'x1'] names a variable twice"),
+    (["x1", "x2"], [["z", "z"], ["a"]], G, "row ['a'] does not match {what} ['x1', 'x2']"),
+    (["x1"], [["a"]], frozenset(), "atoms ['a'] outside ground set"),
+    ([], [[]], frozenset(), "ground set must be nonempty"),
+    (["x1"], [], frozenset(), "ground set must be nonempty"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header, rows, ground, text", LOADER_ERRORS)
+def test_loader_error_text(fmt, header, rows, ground, text):
+    with pytest.raises(ValueError) as err:
+        _load(fmt, header, rows, ground)
+    assert str(err.value) == text.format(what="header" if fmt == "csv" else "schema")
+
+
 def test_ground_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         table_from_json({"schema": ["x1"], "rows": [["z"]]}, ground=G)
+    assert str(err.value) == "atoms ['z'] outside ground set"
+    with pytest.raises(ValueError) as err:
+        table_from_json({"schema": "ALL", "rows": [["a"]]}, ground=G)
+    assert str(err.value) == "ALL-schema table must have no rows"
+    with pytest.raises(ValueError) as err:
+        table_from_csv("")
+    assert str(err.value) == "empty CSV input"
 
 
 def test_load_table(tmp_path):
