@@ -11,7 +11,7 @@ import csv
 import io
 import json
 
-from .tables import Table, bottom
+from .tables import Table, _picker, _table, bottom
 from .transforms import parse_var, schema_is_all, var_name
 from .tuples import NTuple
 
@@ -36,19 +36,25 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
     cols = [parse_var(v) for v in names]
     if len(set(cols)) != len(cols):
         raise ValueError(f"{what} {names} names a variable twice")
+    # each row is checked once here: its pairs are its cells picked in sorted
+    # column order, so they are sorted and functional as NTuple requires
+    order, pick = sorted(cols), _picker(sorted(range(len(cols)), key=cols.__getitem__))
     rows = set()
     for raw in cells:
         if len(raw) != len(cols):
             raise ValueError(f"row {raw} does not match {what} {names}")
-        rows.add(NTuple.of(zip(cols, (str(a) for a in raw))))
-    atoms = {a for r in rows for a in r.rng}
+        rows.add(tuple(zip(order, pick([str(a) for a in raw]))))
+    atoms = {a for r in rows for _, a in r}
     if ground is not None:
         ground = frozenset(ground)
         if not atoms <= ground:
             raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
     else:
         ground = frozenset(atoms) or frozenset({"?"})
-    return Table.from_rows(ground, rows)
+    rows = frozenset(map(NTuple.trusted, rows))
+    if not rows or not ground:  # the empty table's ALL schema, the ground check
+        return Table.from_rows(ground, rows)
+    return _table(ground, frozenset(cols), rows)
 
 
 def table_from_json(data: dict, ground=None) -> Table:

@@ -7,11 +7,11 @@ structurally.
 
 Rows are validated where they enter from outside: ``Table(...)`` and
 ``Table.from_rows`` check every row against the schema and the ground set,
-``tableio`` builds loaded tables through ``from_rows``, and ``exprlang``
-checks that every referenced table has the expression's ground set.  The
-results of table operations (join, right multiplication, the order test) are
-built from rows of valid operands by column position and are not validated
-again.
+``tableio`` checks each loaded row's width and atoms once and builds the table
+with ``_table``, and ``exprlang`` checks that every referenced table has the
+expression's ground set.  The results of table operations (join, right
+multiplication, the order test) are built from rows of valid operands by
+column position and are not validated again.
 
 Schema-only work is done once.  ``TableAlgebra`` builds ``zero()`` and
 ``one()`` in its constructor and each ``diag(x, y)`` on first use, in a dict
@@ -68,7 +68,13 @@ class Table:
         return cls(ground, schema, rows)
 
     def sorted_rows(self) -> list:
-        return sorted(self.rows, key=lambda r: r.sort_key())
+        """The rows in ``NTuple.sort_key`` order.  Every row has the same
+        variables at the same positions, so rows sort as the tuples of their
+        atoms' ranks, each atom keyed once; atoms with equal keys share a rank."""
+        keys = {a: atom_key(a) for a in {a for r in self.rows for _, a in r.pairs}}
+        rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+        rank = {a: rank[k] for a, k in keys.items()}
+        return sorted(self.rows, key=lambda r: tuple([rank[a] for _, a in r.pairs]))
 
     def sort_key(self):
         s = (1,) if schema_is_all(self.schema) else (0, tuple(sorted(self.schema)))
@@ -155,7 +161,8 @@ def _join_plan(s1: frozenset, s2: frozenset):
     where = {v: i for i, v in enumerate(cols1)}
     for i, v in enumerate(cols2):
         where.setdefault(v, len(cols1) + i)
-    return key1, key2, _picker([where[v] for v in sorted(where)]), s1 | s2
+    schema = s1 if s2 <= s1 else s2 if s1 <= s2 else s1 | s2
+    return key1, key2, _picker([where[v] for v in sorted(where)]), schema
 
 
 def leq(T1: Table, T2: Table) -> bool:

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orbsemi.tableio import (
     load_table,
@@ -14,6 +14,7 @@ from orbsemi.tableio import (
     table_to_json,
 )
 from orbsemi.tables import Table, all_rows, bottom, top
+from orbsemi.transforms import parse_var
 from orbsemi.tuples import NTuple
 
 G = frozenset({"a", "b"})
@@ -161,3 +162,70 @@ def test_writers_match_per_cell_reference(t):
     if t.schema:
         body = table_to_grid(t).splitlines()[2:]
         assert [[cell.strip() for cell in line.split(" | ")] for line in body] == cells
+
+
+def reference_table_from_cells(names, cells, ground, what):
+    """The loader's table built row by row: each row an ``NTuple.of``, the
+    table through the validating ``Table.from_rows``."""
+    cols = [parse_var(v) for v in names]
+    if len(set(cols)) != len(cols):
+        raise ValueError(f"{what} {names} names a variable twice")
+    rows = set()
+    for raw in cells:
+        if len(raw) != len(cols):
+            raise ValueError(f"row {raw} does not match {what} {names}")
+        rows.add(NTuple.of(zip(cols, map(str, raw))))
+    atoms = {a for r in rows for a in r.rng}
+    if ground is not None:
+        ground = frozenset(ground)
+        if not atoms <= ground:
+            raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
+    else:
+        ground = frozenset(atoms) or frozenset({"?"})
+    return Table.from_rows(ground, rows)
+
+
+def _outcome(load):
+    try:
+        return load()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@st.composite
+def loader_inputs(draw):
+    """A format, a header (in any order, sometimes with a repeated or bad
+    variable), rows of mostly the header's width, and a ground or None."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    names = draw(st.lists(st.sampled_from(["x3", "x1", "x2", "x10"] * 6 + ["x0", "y1"]),
+                          max_size=3))
+    atom = st.sampled_from(["a", "b", "1"])
+    if fmt == "json":
+        atom = atom | st.sampled_from([1, 2.5, True])
+    width = st.sampled_from([len(names)] * 8 + [len(names) + 1, max(len(names) - 1, 0)])
+    rows = draw(st.lists(width.flatmap(lambda w: st.lists(atom, min_size=w, max_size=w)),
+                         max_size=6))
+    ground = draw(st.none() | st.frozensets(st.sampled_from(["a", "b", "1", "2.5"])))
+    return fmt, names, rows, ground
+
+
+@given(loader_inputs())
+@example(("csv", ["x3", "x1"], [["a", "b"], ["b", "a"], ["a", "b"]], None))
+@example(("json", ["x3", "x1"], [["a", 1], [2.5, "b"], ["a", 1]], frozenset({"a", "b", "1", "2.5"})))
+@example(("json", [], [[], []], None))
+@example(("json", [], [[]], frozenset({"a"})))
+@example(("csv", ["x2", "x1"], [], None))
+@example(("csv", ["x2", "x1"], [], frozenset({"a"})))
+def test_loader_matches_the_per_row_reference(args):
+    fmt, names, rows, ground = args
+    if fmt == "csv":
+        text = "".join(",".join(r) + "\n" for r in [names, *rows])
+        header, *body = csv.reader(io.StringIO(text))
+        got = _outcome(lambda: table_from_csv(text, ground=ground))
+        want = _outcome(lambda: reference_table_from_cells(
+            header, [r for r in body if r], ground, "header"))
+    else:
+        data = {"schema": names, "rows": rows}
+        got = _outcome(lambda: table_from_json(data, ground=ground))
+        want = _outcome(lambda: reference_table_from_cells(names, rows, ground, "schema"))
+    assert got == want

@@ -181,3 +181,53 @@ def test_elements_with_schema():
 def test_all_rows_count():
     assert len(list(all_rows(G, {1, 2}))) == 4
     assert list(all_rows(G, set())) == [EMPTY_TUPLE]
+
+
+def _ref_sorted_rows(Tb):
+    return sorted(Tb.rows, key=NTuple.sort_key)
+
+
+@given(st.sets(st.sampled_from(["a", "b", "ab", "B", "10", "9"]), min_size=1),
+       st.sets(st.integers(1, 4), max_size=3), st.data())
+def test_sorted_rows_is_the_sort_key_order_on_string_grounds(ground, X, data):
+    rows = list(all_rows(ground, X))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    Tb = Table.from_rows(ground, [r for r, k in zip(rows, keep) if k])
+    assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+
+
+def test_sorted_rows_keeps_ties_in_row_order():
+    # 1 and "1" have the same atom key, so neither row sorts before the other
+    Tb = Table.from_rows({1, "1", "0"}, [NTuple.of({1: a, 2: b})
+                                         for a in (1, "1", "0") for b in (1, "1")])
+    assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+
+
+def test_sorted_rows_is_the_sort_key_order_on_ground_terms():
+    # the extents under represent's quasi labeling of Tab({a}) at depth 4:
+    # tables over 26 ground terms
+    from orbsemi.labeling import Labeling, extent
+    from orbsemi.representation import RepCaps, RepresentationBuilder
+
+    alg = TableAlgebra({"a"})
+    builder = RepresentationBuilder(alg, RepCaps(depth=4))
+    H = builder.build_H()
+    alpha = Labeling(H.terms, alg, builder.alpha)
+    extents = [extent(alpha, u) for u in enumerate_tables(alg.ground, subsets([1, 2]))]
+    assert max(len(Tb.rows) for Tb in extents) == len(H.terms) ** 2
+    for Tb in extents:
+        assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+
+
+@given(small_tables, st.sets(st.integers(1, 3), min_size=1))
+def test_proj_drop_row_drops_the_last_row_in_sort_key_order(Tb, X):
+    from orbsemi.mutants import make_mutant
+    from orbsemi.transforms import partial_identity
+
+    lam = partial_identity(X)
+    out = act_table(Tb, lam)
+    dropped = make_mutant("proj-drop-row", TableAlgebra(G)).act(Tb, lam)
+    if len(out.rows) > 1:
+        assert out.rows - dropped.rows == {_ref_sorted_rows(out)[-1]}
+    else:
+        assert dropped == out
