@@ -52,7 +52,7 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
     else:
         ground = frozenset(atoms) or frozenset({"?"})
     rows = frozenset(map(NTuple.trusted, rows))
-    if not rows or not ground:  # the empty table's ALL schema, the ground check
+    if not rows or not ground:  # from_rows gives ALL to no rows, rejects no ground
         return Table.from_rows(ground, rows)
     return _table(ground, frozenset(cols), rows)
 

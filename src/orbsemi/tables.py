@@ -78,7 +78,7 @@ class Table:
 
     def sort_key(self):
         s = (1,) if schema_is_all(self.schema) else (0, tuple(sorted(self.schema)))
-        return s + (tuple(r.sort_key() for r in self.sorted_rows()),)
+        return s + (tuple(sorted(r.sort_key() for r in self.rows)),)
 
     def __repr__(self):
         if schema_is_all(self.schema):

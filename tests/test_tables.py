@@ -187,20 +187,24 @@ def _ref_sorted_rows(Tb):
     return sorted(Tb.rows, key=NTuple.sort_key)
 
 
+def _assert_sort_key_order(Tb):
+    assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+    assert Tb.sort_key()[-1] == tuple(r.sort_key() for r in _ref_sorted_rows(Tb))
+
+
 @given(st.sets(st.sampled_from(["a", "b", "ab", "B", "10", "9"]), min_size=1),
        st.sets(st.integers(1, 4), max_size=3), st.data())
-def test_sorted_rows_is_the_sort_key_order_on_string_grounds(ground, X, data):
+def test_sorted_rows_and_sort_key_follow_the_row_keys_on_string_grounds(ground, X, data):
     rows = list(all_rows(ground, X))
     keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    Tb = Table.from_rows(ground, [r for r, k in zip(rows, keep) if k])
-    assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+    _assert_sort_key_order(Table.from_rows(ground, [r for r, k in zip(rows, keep) if k]))
 
 
 def test_sorted_rows_keeps_ties_in_row_order():
     # 1 and "1" have the same atom key, so neither row sorts before the other
     Tb = Table.from_rows({1, "1", "0"}, [NTuple.of({1: a, 2: b})
                                          for a in (1, "1", "0") for b in (1, "1")])
-    assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+    _assert_sort_key_order(Tb)
 
 
 def test_sorted_rows_is_the_sort_key_order_on_ground_terms():
@@ -216,7 +220,7 @@ def test_sorted_rows_is_the_sort_key_order_on_ground_terms():
     extents = [extent(alpha, u) for u in enumerate_tables(alg.ground, subsets([1, 2]))]
     assert max(len(Tb.rows) for Tb in extents) == len(H.terms) ** 2
     for Tb in extents:
-        assert Tb.sorted_rows() == _ref_sorted_rows(Tb)
+        _assert_sort_key_order(Tb)
 
 
 @given(small_tables, st.sets(st.integers(1, 3), min_size=1))
