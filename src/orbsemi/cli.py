@@ -140,7 +140,13 @@ def _selected(args, known):
 
 def _cmd_eval(args, out) -> int:
     ground = _parse_ground(args.ground) if args.ground else None
-    env = {Path(path).stem: load_table(path, ground=ground) for path in args.tables}
+    env = {}
+    for path in args.tables:
+        name = Path(path).stem
+        if name in env:
+            raise ValueError(f"two table files are named {name!r}; a table's name is "
+                             "its file's stem")
+        env[name] = load_table(path, ground=ground)
     if ground is None:
         grounds = {T.ground for T in env.values()}
         if len(grounds) != 1:

@@ -26,18 +26,17 @@ from .transforms import (
     is_folding,
     partial_identity,
     preimage,
-    schema_intersect_window,
     schema_is_all,
     schema_subset,
     schema_union,
 )
 
 
-#: sizes of the sampled element, tuple and base-tuple pools, and of the transformation pool
+#: sizes of the sampled element, tuple and base-tuple pools, and of the
+#: transformation pool; a window with at most TRANSFORM_BUDGET transformations
+#: puts all of them in the pool
 ELEMENT_BUDGET = 40
 TRANSFORM_BUDGET = 64
-#: a window with at most this many transformations puts all of them in the pool
-TRANSFORM_ENUMERATION_CAP = 130
 #: the largest tuple space that the L3 check enumerates, and the range of
 #: the index ``k`` by which it picks one of the tuples it enumerated
 WITNESS_CAP = 256
@@ -155,14 +154,10 @@ def e_diag(inst: OrbitalInstance, delta: FPTransform):
 # Case generation
 
 
-def _random_subset(rng: random.Random, items, p: float = 0.5) -> frozenset:
-    return frozenset(i for i in items if rng.random() < p)
-
-
 def _transform_pool(cfg: SampleConfig, rng: random.Random) -> list:
     window = sorted(cfg.window)
     total = (len(window) + 1) ** len(window)
-    if total <= TRANSFORM_ENUMERATION_CAP:
+    if total <= TRANSFORM_BUDGET:
         return list(all_transforms(window, window))
     pool = dict.fromkeys([EMPTY, partial_identity(window)])  # insertion-ordered set
     while len(pool) < TRANSFORM_BUDGET:
@@ -217,7 +212,7 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
         "y": lambda _: choice(window),
         "z": lambda _: choice(window),
         "w": lambda _: choice(window),
-        "Y": lambda _: _random_subset(rng, window),
+        "Y": lambda _: frozenset(x for x in window if rng.random() < 0.5),
         "k": lambda _: rng.randrange(WITNESS_CAP),
         "inj": lambda _: _random_injection(rng, window),
         "delta": lambda _: _random_folding(rng, window),
@@ -342,7 +337,7 @@ def _ax13(inst, u, window):
     fwd_vars = window if schema_is_all(du) else du
     fwd = all(inst.leq(u, inst.diag(x, x)) for x in fwd_vars)
     below = frozenset(x for x in window if inst.leq(u, inst.diag(x, x)))
-    rev = below <= schema_intersect_window(du, window)
+    rev = schema_is_all(du) or below <= du  # below lies inside the window
     return fwd and rev, lambda: {"dom(u)": du, "{x in window: u<=d_xx}": below}
 
 

@@ -16,6 +16,7 @@ from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 from .labeling import Labeling, check_embedding, check_labeling, quotient
 from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, run_cases
+from .tables import all_rows
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
 from .tuples import NTuple, atom_key, merge
@@ -91,10 +92,6 @@ def _head_key(head):
     return str(head)
 
 
-def term_key(t: GroundTerm):
-    return t.sort_key()
-
-
 def arity(inst: OrbitalInstance, v):
     """n if dom(v) = {x1, ..., x_{n+1}}, else None (not a function symbol)."""
     d = inst.dom(v)
@@ -110,27 +107,23 @@ def subterm_closure(terms) -> frozenset:
     return frozenset().union(*(t.subterms() for t in terms))
 
 
-def is_subterm_closed(terms) -> bool:
-    terms = frozenset(terms)
-    return all(c in terms for t in terms for c in t.children)
-
-
 def is_base_tuple(b: NTuple) -> bool:
-    return b.is_injective() and is_subterm_closed(b.rng)
+    """b is injective and its range is subterm-closed."""
+    terms = b.rng
+    return b.is_injective() and all(c in terms for t in terms for c in t.children)
 
 
 def base_tuple_for(t: NTuple) -> NTuple:
     """The canonical base tuple covering t: the subterm closure of its range,
     enumerated in term order and assigned to x1, x2, ..."""
-    ordered = sorted(subterm_closure(t.rng), key=term_key)
+    ordered = sorted(subterm_closure(t.rng), key=GroundTerm.sort_key)
     return NTuple.trusted(tuple(enumerate(ordered, start=1)))
 
 
 def eta(term: GroundTerm) -> NTuple:
     """<x1:t1, ..., xn:tn, x_{n+1}: v t1...tn>."""
-    entries = {i + 1: c for i, c in enumerate(term.children)}
-    entries[len(term.children) + 1] = term
-    return NTuple.of(entries)
+    return NTuple.trusted((*enumerate(term.children, start=1),
+                           (len(term.children) + 1, term)))
 
 
 def _inverse_after(b: NTuple, t: NTuple) -> FPTransform:
@@ -144,7 +137,7 @@ def _inverse_after(b: NTuple, t: NTuple) -> FPTransform:
 def kappa(b: NTuple, inst: OrbitalInstance):
     """Meet over the terms in rng(b) of head · (eta^{-r} ∘ b)."""
     out = inst.one()
-    for term in sorted(b.rng, key=term_key):
+    for term in sorted(b.rng, key=GroundTerm.sort_key):
         out = inst.meet(out, inst.act(term.head, _inverse_after(eta(term), b)))
     return out
 
@@ -181,10 +174,6 @@ class HSet:
     @property
     def terms(self) -> frozenset:
         return self.strata[-1] if self.strata else frozenset()
-
-    @property
-    def sizes(self) -> list:
-        return [len(s) for s in self.strata]
 
 
 class RepresentationBuilder:
@@ -242,7 +231,7 @@ class RepresentationBuilder:
         for y, a in b.pairs:
             at.setdefault(a, []).append(y)
         out = self._op("one")
-        for term in sorted(at, key=term_key):
+        for term in sorted(at, key=GroundTerm.sort_key):
             lam = sorted((y, x) for a, x in self._eta_inverse(term) for y in at.get(a, ()))
             out = self._op("meet", out,
                            self._op("act", term.head, FPTransform.trusted(tuple(lam))))
@@ -277,7 +266,7 @@ class RepresentationBuilder:
         current = set()
         for _ in range(self.caps.depth):
             admitted = []
-            pool = sorted(current, key=term_key)
+            pool = sorted(current, key=GroundTerm.sort_key)
             for v, n in self.symbols:
                 for combo in itertools.permutations(pool, n):
                     term = GroundTerm(v, combo)
@@ -285,7 +274,7 @@ class RepresentationBuilder:
                         continue
                     if self.admissible(v, combo):
                         admitted.append(term)
-            admitted.sort(key=term_key)
+            admitted.sort(key=GroundTerm.sort_key)
             room = self.caps.max_terms_per_stratum - len(current)
             if len(admitted) > room:
                 admitted = admitted[:room]
@@ -319,7 +308,7 @@ def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) 
 
 def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
     """Base tuples over H: singletons' closures plus random multi-term closures."""
-    terms = sorted(H.terms, key=term_key)
+    terms = sorted(H.terms, key=GroundTerm.sort_key)
     out = dict.fromkeys([NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
     while len(out) < budget and terms:
         k = rng.randrange(1, min(3, len(terms)) + 1)
@@ -334,7 +323,7 @@ def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
 def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
     """Astrict b to the subterm closure of a random subset of its range;
     the result is again a base tuple below b."""
-    kept = [a for a in sorted(b.rng, key=term_key) if rng.random() < 0.6]
+    kept = [a for a in sorted(b.rng, key=GroundTerm.sort_key) if rng.random() < 0.6]
     return astrict(b, subterm_closure(kept))
 
 
@@ -348,7 +337,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     inst = builder.inst
     rng = random.Random(cfg.seed)
     bases = _harvest_base_tuples(H, rng, budget=ELEMENT_BUDGET)
-    terms = sorted(H.terms, key=term_key)
+    terms = sorted(H.terms, key=GroundTerm.sort_key)
 
     def membership(term):
         return builder.satisfies_membership_characterization(H, term), lambda: {
@@ -376,7 +365,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     def kappa_split(b):
         if len(b.pairs) < 2:
             return None
-        half = frozenset(a for a in sorted(b.rng, key=term_key) if rng.random() < 0.5)
+        half = frozenset(a for a in sorted(b.rng, key=GroundTerm.sort_key) if rng.random() < 0.5)
         b1 = astrict(b, subterm_closure(half))
         b2 = astrict(b, subterm_closure(b.rng - half))
         # each pair of b is kept in b1 or in b2, so b is their merge
@@ -393,7 +382,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         rng.shuffle(perm)
         xi = FPTransform.of(dict(zip(sorted(b.df), perm)))
         b2 = compose(b, xi)
-        t = NTuple.of({i + 1: rng.choice(sorted(b.rng, key=term_key))
+        t = NTuple.of({i + 1: rng.choice(sorted(b.rng, key=GroundTerm.sort_key))
                        for i in range(rng.randrange(1, 4))})
         lhs = builder.alpha(t)
         rhs = builder.eval_via(b2, t)
@@ -417,7 +406,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
     def eval_via_cover(b):
         if not b.pairs:
             return None
-        vals = sorted(b.rng, key=term_key)
+        vals = sorted(b.rng, key=GroundTerm.sort_key)
         t = NTuple.of({i + 1: rng.choice(vals)
                        for i in range(rng.randrange(0, 4))})
         lhs = builder.alpha(t)
@@ -429,7 +418,7 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         return builder.kappa(b) != inst.zero(), lambda: {"b": repr(b)}
 
     def extended_eta(term):
-        closure = sorted(subterm_closure([term]), key=term_key)
+        closure = sorted(subterm_closure([term]), key=GroundTerm.sort_key)
         e = eta(term)  # defined on x1 .. x_{n+1}
         rest = [s for s in closure if s not in e.rng]
         b = NTuple(e.pairs + tuple(enumerate(rest, start=len(e.pairs) + 1)))
@@ -455,9 +444,8 @@ def harvested_checks(builder: RepresentationBuilder, H: HSet,
         t = restrict(tt, keep)
         if len(terms) ** len(X - keep) > 512:
             return None
-        for combo in itertools.product(terms, repeat=len(X - keep)):
-            cand = merge(t, NTuple.of(dict(zip(sorted(X - keep), combo))))
-            if builder.alpha(cand) == v:
+        for rest in all_rows(terms, X - keep):
+            if builder.alpha(merge(t, rest)) == v:
                 return True, None
         return False, lambda: {"t": repr(t), "v": repr(v)}
 
@@ -525,12 +513,11 @@ def _reachable_elements(alpha_bar: Labeling, rng: random.Random) -> list:
         seen.setdefault(u, None)
     for X in (frozenset(), frozenset({1}), frozenset({1, 2})):
         if len(atoms) ** len(X) > _PAIR_CAP:
-            combos = (tuple(rng.choice(atoms) for _ in range(len(X)))
+            tuples = (NTuple.of({x: rng.choice(atoms) for x in sorted(X)})
                       for _ in range(_PAIR_CAP // 4))
         else:
-            combos = itertools.product(atoms, repeat=len(X))
-        for combo in combos:
-            t = NTuple.of(dict(zip(sorted(X), combo)))
+            tuples = all_rows(atoms, X)
+        for t in tuples:
             seen.setdefault(alpha_bar(t), None)
     return list(seen)
 
@@ -542,11 +529,11 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     builder = RepresentationBuilder(inst, caps)
     H = builder.build_H()
     report = PipelineReport(
-        strata_sizes=H.sizes,
+        strata_sizes=[len(s) for s in H.strata],
         symbol_count=len(builder.symbols),
         symbols_truncated=H.symbols_truncated,
         stratum_truncated=H.stratum_truncated,
-        terms=[builder.format_term(t) for t in sorted(H.terms, key=term_key)],
+        terms=[builder.format_term(t) for t in sorted(H.terms, key=GroundTerm.sort_key)],
     )
     if not H.terms:
         report.error = "H is empty (no constants in the signature)"

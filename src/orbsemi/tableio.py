@@ -1,8 +1,10 @@
 """Reading and writing tables.
 
-CSV: header row lists variables (``x1,x2``), body rows list atoms.
+CSV: header row lists variables (``x1,x2``), body rows list atoms; blank lines
+are skipped, except after an empty header, where a blank line is the empty row.
 JSON: ``{"schema": ["x1", "x2"], "rows": [["a", "b"]]}``; the empty table is
-``{"schema": "ALL", "rows": []}``.
+``{"schema": "ALL", "rows": []}``.  Each row is a list, and each cell a
+string, number or boolean.
 """
 
 from __future__ import annotations
@@ -58,11 +60,25 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
 
 
 def table_from_json(data: dict, ground=None) -> Table:
-    if data.get("schema") == "ALL":
-        if data.get("rows"):
+    if not (isinstance(data, dict) and "schema" in data and "rows" in data):
+        raise ValueError('a JSON table must be an object with "schema" and "rows"')
+    schema, rows = data["schema"], data["rows"]
+    if schema != "ALL" and not (isinstance(schema, list)
+                                and all(isinstance(v, str) for v in schema)):
+        raise ValueError(f'schema must be "ALL" or a list of variable names, not {schema!r}')
+    if not isinstance(rows, list):
+        raise ValueError(f"rows must be a list of rows, not {rows!r}")
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"row {row!r} is not a list of cells")
+        for a in row:
+            if not isinstance(a, (str, int, float)):  # bool is an int
+                raise ValueError(f"cell {a!r} in row {row} is not a string, number or boolean")
+    if schema == "ALL":
+        if rows:
             raise ValueError("ALL-schema table must have no rows")
         return bottom(ground if ground else {"?"})
-    return _table_from_cells(data["schema"], data["rows"], ground, "schema")
+    return _table_from_cells(schema, rows, ground, "schema")
 
 
 def table_to_csv(T: Table) -> str:
@@ -81,7 +97,8 @@ def table_from_csv(text: str, ground=None) -> Table:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty CSV input")
-    return _table_from_cells(header, (raw for raw in reader if raw), ground, "header")
+    rows = reader if not header else (raw for raw in reader if raw)
+    return _table_from_cells(header, rows, ground, "header")
 
 
 def load_table(path: str, ground=None) -> Table:

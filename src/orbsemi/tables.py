@@ -296,7 +296,6 @@ class TableAlgebra(OrbitalInstance):
             core = self._pool_cores[cfg.window] = (tables, frozenset(tables))
         pool, seen = list(core[0]), set(core[1])
         window = sorted(cfg.window)
-        atoms = sorted(self.ground, key=atom_key)
         for _ in range(ELEMENT_BUDGET):
             X = [x for x in window if rng.random() < 0.6]
             if len(X) <= 2:

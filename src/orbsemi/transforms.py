@@ -58,13 +58,6 @@ def schema_union(a, b):
     return a | b
 
 
-def schema_intersect_window(s, window: Iterable[int]):
-    """s intersected with a finite window (ALL ∩ window = window)."""
-    if schema_is_all(s):
-        return frozenset(window)
-    return s.intersection(window)
-
-
 def var_name(i: int) -> str:
     return f"x{i}"
 
@@ -228,13 +221,9 @@ def all_transforms(sources: Iterable[int], targets: Iterable[int]) -> Iterator[F
         yield FPTransform(tuple((s, t) for s, t in zip(sources, combo) if t is not None))
 
 
-def format_varset(X: Iterable[int]) -> str:
-    return "{" + ",".join(var_name(x) for x in sorted(set(X))) + "}"
-
-
 def format_transform(f: FPTransform) -> str:
     if is_partial_identity(f):
-        return "pi" + format_varset(f.df)
+        return "pi{" + ",".join(var_name(x) for x in sorted(f.df)) + "}"
     return "{" + ", ".join(f"{var_name(s)}->{var_name(t)}" for s, t in f.pairs) + "}"
 
 

@@ -60,7 +60,6 @@ def merge(t1: NTuple, t2: NTuple):
     return NTuple.of(out)
 
 
-def parse_tuple(text: str, parse_atom=str) -> NTuple:
+def parse_tuple(text: str) -> NTuple:
     """Parse the text form ``{x1:a, x2:b}``."""
-    return NTuple.of(parse_map(text.strip(), ":", lambda val: parse_atom(val.strip()),
-                               "tuple", "entry", "variable"))
+    return NTuple.of(parse_map(text.strip(), ":", str.strip, "tuple", "entry", "variable"))

@@ -12,8 +12,8 @@ import pytest
 
 import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
-from orbsemi.representation import (RepresentationBuilder, _harvest_base_tuples,
-                                     alpha_tilde, base_tuple_for, kappa, term_key)
+from orbsemi.representation import (GroundTerm, RepresentationBuilder, _harvest_base_tuples,
+                                     alpha_tilde, base_tuple_for, kappa)
 from orbsemi.tables import TableAlgebra
 from orbsemi.transforms import FPTransform, compose
 from orbsemi.tuples import NTuple
@@ -46,7 +46,7 @@ def _reference_base_tuple(t):
 
     for term in t.rng:
         visit(term)
-    return NTuple.of(dict(enumerate(sorted(closure, key=term_key), start=1)))
+    return NTuple.of(dict(enumerate(sorted(closure, key=GroundTerm.sort_key), start=1)))
 
 
 @pytest.mark.parametrize("mutant_id", [None, *sorted(MUTANTS)],
@@ -65,7 +65,7 @@ def test_builder_matches_the_free_reference(mutant_id):
                 b_xi = _reordered(b, rng, duplicate)
                 assert b_xi.is_injective() != duplicate
                 assert builder.kappa(b_xi) == kappa(b_xi, inst)
-    terms = sorted(H.terms, key=term_key)
+    terms = sorted(H.terms, key=GroundTerm.sort_key)
     for g, h in itertools.product(terms, repeat=2):
         t = NTuple.of({1: g, 2: h})
         assert base_tuple_for(t) == _reference_base_tuple(t)

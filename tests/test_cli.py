@@ -80,6 +80,19 @@ def test_eval_rejects_a_column_named_twice(tmp_path, capsys):
     assert "names a variable twice" in capsys.readouterr().err
 
 
+def test_eval_rejects_two_tables_with_one_stem(tmp_path, capsys):
+    paths = []
+    for d, row in (("d1", "a"), ("d2", "b")):
+        (tmp_path / d).mkdir()
+        paths.append(tmp_path / d / "T.csv")
+        paths[-1].write_text(f"x1\n{row}\n")
+    assert main(["eval", "T", "--tables", *map(str, paths)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: two table files are named 'T'; a table's name is "
+                            "its file's stem\n")
+
+
 def test_check_axioms_pass(capsys):
     code = main(["check-axioms", "--ground", "a,b", "--only", "A1,A2",
                  "--cases", "60"])

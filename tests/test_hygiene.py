@@ -1,6 +1,6 @@
 """Every name a module imports is used in it, every module-level function,
 class and assigned name of the package is used somewhere, and every function
-reads each of its parameters.
+reads each of its parameters and each local name it assigns.
 
 A stdlib-only stand-in for a linter's unused-import rule: parse each module
 of the package with ``ast`` and compare the names its imports bind with the
@@ -11,7 +11,9 @@ definition, in the package or in the tests, names it.  Dunder names such as
 read when the function body, nested functions and lambdas included, names it;
 ``self``, ``cls``, names starting with ``_``, dunder methods and abstract
 methods are exempt, because their signatures are fixed by the protocol they
-implement.
+implement.  A local name counts as read likewise; ``_`` and names starting
+with ``_`` are exempt, so that a loop or an unpacking can name a value it
+drops.
 """
 
 import ast
@@ -144,3 +146,71 @@ def f(x, *args, y, **kw):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_parameter(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside nested functions and classes,
+    whose names are not ``func``'s locals."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list:
+    """(line, function, name) for each local name that a function assigns and
+    that neither it nor a function nested in it reads, outside the exemptions
+    in the module docstring."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        assigned, declared = {}, set()
+        for n in _own_nodes(node):
+            name = (n.id if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                    else n.name if isinstance(n, ast.ExceptHandler) else None)
+            if name:
+                assigned[name] = min(n.lineno, assigned.get(name, n.lineno))
+            if isinstance(n, (ast.Global, ast.Nonlocal)):
+                declared.update(n.names)
+        out.extend((line, node.name, name) for name, line in assigned.items()
+                   if name not in read and name not in declared
+                   and not name.startswith("_"))
+    return sorted(out)
+
+
+def test_scanner_finds_a_dead_local():
+    source = """
+def f(xs):
+    a, b, _c = 1, 2, 3
+    for i in xs:
+        pass
+    for _ in xs:
+        n = 0
+        n += 1
+    def g():
+        d = [e for e in xs]
+        return a
+    return g
+class C:
+    k = 1
+    def m(self):
+        global G
+        G = 2
+        try:
+            pass
+        except ValueError as err:
+            pass
+"""
+    assert dead_locals(source) == [
+        (3, "f", "b"), (4, "f", "i"), (7, "f", "n"), (10, "g", "d"), (20, "m", "err")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_local(path):
+    assert dead_locals(path.read_text()) == []

@@ -22,11 +22,10 @@ from orbsemi.representation import (
     kappa,
     represent,
     subterm_closure,
-    term_key,
 )
-from orbsemi.tables import Table, TableAlgebra
+from orbsemi.tables import Table, TableAlgebra, all_rows
 from orbsemi.transforms import astrict
-from orbsemi.tuples import NTuple, merge
+from orbsemi.tuples import NTuple, atom_key, merge
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +67,28 @@ def test_term_depth_and_order(alg):
     f = Table.from_rows(alg.ground, {NTuple.of({1: "a", 2: "a"})})
     t = GroundTerm(f, (c,))
     assert c.depth == 1 and t.depth == 2
-    assert term_key(c) < term_key(t)  # children precede parents
+    assert c.sort_key() < t.sort_key()  # children precede parents
+
+
+@pytest.fixture(scope="module")
+def terms2(alg2):
+    return build_H(alg2, depth=2).terms
+
+
+def test_atom_key_orders_terms_as_the_term_order(terms2):
+    assert sorted(terms2, key=atom_key) == sorted(terms2, key=GroundTerm.sort_key)
+
+
+@pytest.mark.parametrize("kind", ["strings", "terms"])
+@pytest.mark.parametrize("X", [set(), {2}, {3, 1}])
+def test_all_rows_matches_the_product_reference(terms2, kind, X):
+    # _reachable_elements and rep-extension-witness walk all_rows and rely on
+    # this order: the product over the atoms in term order, on sorted variables
+    atoms = {"b", "c", "a"} if kind == "strings" else terms2
+    order = sorted(atoms, key=str if kind == "strings" else GroundTerm.sort_key)
+    want = [NTuple.of(dict(zip(sorted(X), combo)))
+            for combo in itertools.product(order, repeat=len(X))]
+    assert list(all_rows(atoms, X)) == want
 
 
 def test_base_tuple_for(alg):
@@ -103,7 +123,7 @@ def test_alpha_tilde_of_empty_tuple_is_one(alg):
 def test_alpha_tilde_base_independent(alg2):
     builder = RepresentationBuilder(alg2)
     H = builder.build_H()
-    terms = sorted(H.terms, key=term_key)[:6]
+    terms = sorted(H.terms, key=GroundTerm.sort_key)[:6]
     for t in terms:
         tup = NTuple.of({2: t})
         b = base_tuple_for(tup)
@@ -155,7 +175,7 @@ def test_kappa_split_halves_merge_back(alg2):
     # rep-kappa-split relies on this: each pair of b is kept in b1 or in b2
     H = build_H(alg2)
     for b in _harvest_base_tuples(H, random.Random(0), budget=40):
-        vals = sorted(b.rng, key=term_key)
+        vals = sorted(b.rng, key=GroundTerm.sort_key)
         for k in range(len(vals) + 1):
             for half in map(frozenset, itertools.combinations(vals, k)):
                 b1 = astrict(b, subterm_closure(half))
@@ -267,7 +287,6 @@ def test_ground_term_cached_fields_match_reference(spec):
     assert t.depth == _ref_depth(t)
     assert t.sort_key() == _ref_sort_key(t)
     assert t.sort_key() is t.sort_key()
-    assert term_key(t) == t.sort_key()
 
 
 def _ref_subterms(t):

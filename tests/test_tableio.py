@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from orbsemi.cli import main
 from orbsemi.tableio import (
     load_table,
     table_from_csv,
@@ -41,6 +42,14 @@ def test_json_top_table():
     t = top(G)
     assert table_to_json(t) == {"schema": [], "rows": [[]]}
     assert table_from_json(table_to_json(t), ground=G) == t
+
+
+def test_csv_top_and_bottom_tables():
+    # JSON round trips of both are in the two tests above; the bottom table
+    # has no CSV form (test_csv_empty_rejected)
+    assert table_to_csv(top(G)) == "\n\n"  # an empty header, then the one empty row
+    assert table_from_csv(table_to_csv(top(G)), ground=G) == top(G)
+    assert table_from_csv("\n", ground=G) == bottom(G)  # an empty header alone
 
 
 def test_csv_roundtrip():
@@ -101,6 +110,38 @@ def test_loader_error_text(fmt, header, rows, ground, text):
     assert str(err.value) == text.format(what="header" if fmt == "csv" else "schema")
 
 
+_OBJECT = 'a JSON table must be an object with "schema" and "rows"'
+_CELL = "is not a string, number or boolean"
+
+# (JSON document, error text); a fault of shape wins over the ALL rule
+JSON_SHAPE_ERRORS = [
+    ([], _OBJECT),
+    ({"rows": []}, _OBJECT),
+    ({"schema": ["x1"]}, _OBJECT),
+    ({"schema": "x1", "rows": []},
+     "schema must be \"ALL\" or a list of variable names, not 'x1'"),
+    ({"schema": ["x1", 2], "rows": []},
+     "schema must be \"ALL\" or a list of variable names, not ['x1', 2]"),
+    ({"schema": ["x1"], "rows": {"a": 1}}, "rows must be a list of rows, not {'a': 1}"),
+    ({"schema": ["x1", "x2"], "rows": ["ba"]}, "row 'ba' is not a list of cells"),
+    ({"schema": ["x1"], "rows": [["a"], [["a"]]]}, f"cell ['a'] in row [['a']] {_CELL}"),
+    ({"schema": ["x1"], "rows": [[{"a": 1}]]}, f"cell {{'a': 1}} in row [{{'a': 1}}] {_CELL}"),
+    ({"schema": ["x1", "x2"], "rows": [["a", None]]}, f"cell None in row ['a', None] {_CELL}"),
+    ({"schema": "ALL", "rows": [[None]]}, f"cell None in row [None] {_CELL}"),
+]
+
+
+@pytest.mark.parametrize("data, text", JSON_SHAPE_ERRORS)
+def test_json_shape_error_text(data, text, tmp_path, capsys):
+    with pytest.raises(ValueError) as err:
+        table_from_json(data)
+    assert str(err.value) == text
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(data))
+    assert main(["eval", "X", "--tables", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_ground_validation():
     with pytest.raises(ValueError) as err:
         table_from_json({"schema": ["x1"], "rows": [["z"]]}, ground=G)
@@ -153,6 +194,8 @@ def test_writers_match_per_cell_reference(t):
     if not t.rows:
         assert data == {"schema": "ALL", "rows": []}
         return
+    assert table_from_json(data, ground=t.ground) == t
+    assert table_from_csv(table_to_csv(t), ground=t.ground) == t
     cells = reference_cells(t)
     header = [f"x{c}" for c in sorted(t.schema)]
     assert data == {"schema": header, "rows": cells}
@@ -213,6 +256,7 @@ def loader_inputs(draw):
 @example(("csv", ["x3", "x1"], [["a", "b"], ["b", "a"], ["a", "b"]], None))
 @example(("json", ["x3", "x1"], [["a", 1], [2.5, "b"], ["a", 1]], frozenset({"a", "b", "1", "2.5"})))
 @example(("json", [], [[], []], None))
+@example(("csv", [], [[], []], None))
 @example(("json", [], [[]], frozenset({"a"})))
 @example(("csv", ["x2", "x1"], [], None))
 @example(("csv", ["x2", "x1"], [], frozenset({"a"})))
@@ -222,8 +266,10 @@ def test_loader_matches_the_per_row_reference(args):
         text = "".join(",".join(r) + "\n" for r in [names, *rows])
         header, *body = csv.reader(io.StringIO(text))
         got = _outcome(lambda: table_from_csv(text, ground=ground))
+        # blank lines are skipped, except after an empty header: there each
+        # is the empty row
         want = _outcome(lambda: reference_table_from_cells(
-            header, [r for r in body if r], ground, "header"))
+            header, [r for r in body if r or not header], ground, "header"))
     else:
         data = {"schema": names, "rows": rows}
         got = _outcome(lambda: table_from_json(data, ground=ground))
