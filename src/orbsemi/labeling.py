@@ -21,7 +21,7 @@ import itertools
 import random
 
 from .orbital import (ELEMENT_BUDGET, WITNESS_CAP, CheckReport, OrbitalInstance,
-                      SampleConfig, _instance_pools, _run_check, _transform_pool)
+                      SampleConfig, _run_check)
 from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
@@ -102,23 +102,20 @@ class _Laws:
         """The given elements, else the instance pool."""
         return self.inst.element_pool(cfg, rng) if self.elements is None else self.elements
 
-
-def _tuple_pools(ctx: _Laws, cfg: SampleConfig, rng: random.Random):
-    """A labeling law's pools.  ``t`` walks the tuple pool over the tuple
-    atoms: exhaustive over two-variable schemas inside the window (when
-    affordable), sampled beyond."""
-    window, atoms = sorted(cfg.window), ctx.t_atoms
-    tuples = [NTuple(())]
-    small = [X for X in subsets(window) if 1 <= len(X) <= 2]
-    if sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET:
-        for X in small:
-            tuples.extend(all_rows(atoms, X))
-    while len(tuples) < ELEMENT_BUDGET:
-        X = [x for x in window if rng.random() < 0.6]
-        tuples.append(NTuple.of({x: rng.choice(atoms) for x in X}))
-    transforms = _transform_pool(cfg, rng)
-    return tuples, {"tuples": tuples, "transforms": transforms,
-                    "elements": ctx.element_pool(cfg, rng)}
+    def tuple_pool(self, cfg: SampleConfig, rng: random.Random) -> list:
+        """The tuples that ``t`` walks, over the tuple atoms: exhaustive over
+        two-variable schemas inside the window (when affordable), sampled
+        beyond."""
+        window, atoms = sorted(cfg.window), self.t_atoms
+        tuples = [NTuple(())]
+        small = [X for X in subsets(window) if 1 <= len(X) <= 2]
+        if sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET:
+            for X in small:
+                tuples.extend(all_rows(atoms, X))
+        while len(tuples) < ELEMENT_BUDGET:
+            X = [x for x in window if rng.random() < 0.6]
+            tuples.append(NTuple.of({x: rng.choice(atoms) for x in X}))
+        return tuples
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +218,11 @@ def check_law(alpha: Labeling, law_id: str, cfg: SampleConfig, tuple_atoms=None,
     """Check one labeling law (L1-L4) or embedding law (``emb-*``) of
     ``alpha`` on its own stream, seeded by ``cfg.seed``.  ``tuple_atoms`` and
     ``elements`` are as in check_labeling and check_embedding."""
-    ctx = _Laws(alpha, cfg, tuple_atoms, elements)
-    if law_id in _LABELING:
-        report = _run_check(ctx, law_id, _LABELING[law_id], cfg, _tuple_pools)
-    elif law_id in _EMBEDDING:
-        report = _run_check(ctx, law_id, _EMBEDDING[law_id], cfg, _instance_pools)
-    else:
+    body = _LABELING.get(law_id) or _EMBEDDING.get(law_id)
+    if body is None:
         raise ValueError(f"unknown law id {law_id!r}")
+    ctx = _Laws(alpha, cfg, tuple_atoms, elements)
+    report = _run_check(ctx, law_id, body, cfg)
     if law_id == "L3":
         report.notes["witness_search_capped"] = ctx.capped
     return report

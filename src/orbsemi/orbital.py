@@ -69,10 +69,13 @@ class CheckReport:
     cases_run: int = 0
     cases_applicable: int = 0
     passed: bool = True
-    vacuous: bool = False
     counterexample: Optional[dict] = None
     seed: int = 0
     notes: dict = field(default_factory=dict)
+
+    @property
+    def vacuous(self) -> bool:
+        return self.cases_applicable == 0
 
     @property
     def status(self) -> str:
@@ -218,12 +221,6 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
         "delta": lambda _: _random_folding(rng, window),
         "window": lambda _: window,
     }
-
-
-def _instance_pools(inst, cfg: SampleConfig, rng: random.Random):
-    """An axiom or derived check's pools; ``u`` walks the element pool."""
-    elements = inst.element_pool(cfg, rng)
-    return elements, {"elements": elements, "transforms": _transform_pool(cfg, rng)}
 
 
 def _shown(value):
@@ -534,28 +531,31 @@ def run_cases(check_id: str, seed: int, cases, body) -> CheckReport:
             report.passed = False
             report.counterexample = dict(detail(), case_index=i)
             break
-    report.vacuous = report.cases_applicable == 0
     return report
 
 
-def _run_check(ctx, check_id, body, cfg: SampleConfig, pools) -> CheckReport:
+def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
     """Run ``body(ctx, **case)``, where a case draws just the variables that
-    the body's parameters after its context ``ctx`` name.  ``pools(ctx, cfg,
-    rng)`` builds, from the check's own stream, the pool that ``u`` or ``t``
-    walks and the pools that ``_domains`` draws from.  The check runs
-    max(``cfg.cases``, walked pool size) cases, or one case when the body
-    declares no variable.  A counterexample lists the drawn values, then the
-    body's extra fields."""
+    the body's parameters after its context ``ctx`` name.  From the check's
+    own stream it builds only the pools that those variables draw from, in
+    this order: the tuple pool (``ctx.tuple_pool``) for ``t``, the element
+    pool (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the
+    transformation pool for ``lam`` or ``mu``.  The check walks its tuple
+    pool if it has one, else its element pool, and runs max(``cfg.cases``,
+    walked pool size) cases; one case when the body declares no variable.
+    A counterexample lists the drawn values, then the body's extra fields."""
     code = body.__code__
     names = code.co_varnames[1:code.co_argcount]
     rng = random.Random(cfg.seed)
-    walked, built = pools(ctx, cfg, rng) if names else ((), {})
-    domains = _domains(rng, sorted(cfg.window), **built)
+    tuples = ctx.tuple_pool(cfg, rng) if "t" in names else ()
+    elements = ctx.element_pool(cfg, rng) if {"u", "v", "vs"}.intersection(names) else ()
+    transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
+    domains = _domains(rng, sorted(cfg.window), elements, transforms, tuples)
     draws = [(name, domains[name]) for name in names]
     case = {}
 
     def cases():
-        for i in range(max(cfg.cases, len(walked)) if draws else 1):
+        for i in range(max(cfg.cases, len(tuples or elements)) if draws else 1):
             for name, draw in draws:
                 case[name] = draw(i)
             yield case
@@ -571,14 +571,14 @@ def check_axiom(inst: OrbitalInstance, axiom_id: str, cfg: SampleConfig) -> Chec
     """Check one of (A1)-(A13) on sampled cases from the window."""
     if axiom_id not in _AXIOMS:
         raise ValueError(f"unknown axiom id {axiom_id!r}")
-    return _run_check(inst, axiom_id, _AXIOMS[axiom_id], cfg, _instance_pools)
+    return _run_check(inst, axiom_id, _AXIOMS[axiom_id], cfg)
 
 
 def check_derived(inst: OrbitalInstance, prop_id: str, cfg: SampleConfig) -> CheckReport:
     """Check one of the derived properties (see DERIVED_IDS)."""
     if prop_id not in _DERIVED:
         raise ValueError(f"unknown property id {prop_id!r}")
-    return _run_check(inst, prop_id, _DERIVED[prop_id], cfg, _instance_pools)
+    return _run_check(inst, prop_id, _DERIVED[prop_id], cfg)
 
 
 def check_all_axioms(inst: OrbitalInstance, cfg: SampleConfig) -> list:

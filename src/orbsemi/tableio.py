@@ -4,7 +4,8 @@ CSV: header row lists variables (``x1,x2``), body rows list atoms; blank lines
 are skipped, except after an empty header, where a blank line is the empty row.
 JSON: ``{"schema": ["x1", "x2"], "rows": [["a", "b"]]}``; the empty table is
 ``{"schema": "ALL", "rows": []}``.  Each row is a list, and each cell a
-string, number or boolean.
+string, number or boolean.  The ground set is the one given, else the atoms
+that the table holds, so a table with no atom needs a given ground set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import io
 import json
 
-from .tables import Table, _picker, _table, bottom
+from .tables import Table, _picker, _table
 from .transforms import parse_var, schema_is_all, var_name
 from .tuples import NTuple
 
@@ -47,12 +48,13 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
             raise ValueError(f"row {raw} does not match {what} {names}")
         rows.add(tuple(zip(order, pick([str(a) for a in raw]))))
     atoms = {a for r in rows for _, a in r}
-    if ground is not None:
-        ground = frozenset(ground)
-        if not atoms <= ground:
-            raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
-    else:
-        ground = frozenset(atoms) or frozenset({"?"})
+    if ground is None:
+        if not atoms:
+            raise ValueError("a table with no atom needs a ground set")
+        ground = atoms
+    ground = frozenset(ground)
+    if not atoms <= ground:
+        raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
     rows = frozenset(map(NTuple.trusted, rows))
     if not rows or not ground:  # from_rows gives ALL to no rows, rejects no ground
         return Table.from_rows(ground, rows)
@@ -77,7 +79,7 @@ def table_from_json(data: dict, ground=None) -> Table:
     if schema == "ALL":
         if rows:
             raise ValueError("ALL-schema table must have no rows")
-        return bottom(ground if ground else {"?"})
+        schema = []  # no columns and no rows: the loader gives schema ALL
     return _table_from_cells(schema, rows, ground, "schema")
 
 

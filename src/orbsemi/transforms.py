@@ -129,14 +129,12 @@ class FPTransform(PartialMap):
     """A finite partial transformation: a partial map from variables to variables."""
 
     def __post_init__(self):
-        seen = set()
         last = 0
         for s, t in self.pairs:
             if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
                 raise ValueError(f"bad variable pair ({s}, {t})")
-            if s in seen or s < last:
+            if s <= last:
                 raise ValueError("pairs must be sorted and functional")
-            seen.add(s)
             last = s
 
     def __repr__(self):

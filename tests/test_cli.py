@@ -256,7 +256,7 @@ quasi/L3: PASS (175/200 applicable cases)
 full/L1: PASS (200/200 applicable cases)
 full/L2: PASS (200/200 applicable cases)
 full/L3: PASS (175/200 applicable cases)
-full/L4: PASS (57/200 applicable cases)
+full/L4: PASS (63/200 applicable cases)
 emb-dom: PASS (200/200 applicable cases)
 emb-injective: PASS (154/200 applicable cases)
 emb-meet: PASS (200/200 applicable cases)

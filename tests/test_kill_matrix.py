@@ -24,7 +24,7 @@ KILLS = {
     "empty-proj-zero": (
         ["A1", "A4", "A7", "A8", "A11"],
         ["one-absorbs-act", "act-astrict-dom", "injective-act-meet"],
-        ["emb-act"],
+        ["L2", "emb-act"],
     ),
     "zero-act-top": (
         ["A2", "A3", "A5"],

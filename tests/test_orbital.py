@@ -20,6 +20,7 @@ from orbsemi.orbital import (
     check_derived,
     e_diag,
 )
+from orbsemi import labeling
 from orbsemi.labeling import _EMBEDDING, _LABELING
 from orbsemi.mutants import TARGETS, make_mutant
 from orbsemi.tables import TableAlgebra, natural_join
@@ -123,8 +124,11 @@ def _declared(body) -> list:
     return list(code.co_varnames[1:code.co_argcount])
 
 
-@pytest.mark.parametrize("check_id, body", [*_AXIOMS.items(), *_DERIVED.items(),
-                                            *_LABELING.items(), *_EMBEDDING.items()])
+#: every registered check body, by its check id
+BODIES = [*_AXIOMS.items(), *_DERIVED.items(), *_LABELING.items(), *_EMBEDDING.items()]
+
+
+@pytest.mark.parametrize("check_id, body", BODIES)
 def test_every_quantified_variable_names_a_domain(check_id, body):
     # an undeclared name would raise KeyError, which the CLI reports as a
     # usage error (exit 2) instead of a verification fault
@@ -132,6 +136,42 @@ def test_every_quantified_variable_names_a_domain(check_id, body):
     context = "ctx" if check_id in {*_LABELING, *_EMBEDDING} else "inst"
     assert body.__code__.co_varnames[0] == context
     assert set(_declared(body)) <= set(domains), check_id
+
+
+def test_every_domain_is_declared_by_some_body():
+    # the other direction: a domain that no check quantifies over is dead code
+    declared = {name for _, body in BODIES for name in _declared(body)}
+    assert set(_domains(random.Random(0), [])) - declared == set()
+
+
+class CountingTab(TableAlgebra):
+    """Tab(G) that counts the element pools built from it."""
+
+    element_pools = 0
+
+    def element_pool(self, cfg, rng):
+        self.element_pools += 1
+        return super().element_pool(cfg, rng)
+
+
+@pytest.mark.parametrize("check_id, body", BODIES)
+def test_pools_follow_the_declared_variables(check_id, body, monkeypatch):
+    # a check builds the element pool only when it draws u, v or vs, and the
+    # tuple pool only when it draws t
+    tuple_pools = []
+    tuple_pool = labeling._Laws.tuple_pool
+    monkeypatch.setattr(labeling._Laws, "tuple_pool",
+                        lambda ctx, cfg, rng: tuple_pools.append(1) or tuple_pool(ctx, cfg, rng))
+    inst, cfg = CountingTab({"a"}), SampleConfig(cases=1)
+    if check_id in _AXIOMS:
+        check_axiom(inst, check_id, cfg)
+    elif check_id in _DERIVED:
+        check_derived(inst, check_id, cfg)
+    else:
+        labeling.check_law(labeling.singleton_labeling(inst), check_id, cfg)
+    declared = set(_declared(body))
+    assert inst.element_pools == bool(declared & {"u", "v", "vs"}), check_id
+    assert len(tuple_pools) == ("t" in declared), check_id
 
 
 @pytest.mark.parametrize("axiom_id", AXIOM_IDS)

@@ -99,6 +99,10 @@ LOADER_ERRORS = [
     (["x1"], [["a"]], frozenset(), "atoms ['a'] outside ground set"),
     ([], [[]], frozenset(), "ground set must be nonempty"),
     (["x1"], [], frozenset(), "ground set must be nonempty"),
+    # no atom to take the ground from: the top table and a header alone
+    ([], [[]], None, "a table with no atom needs a ground set"),
+    (["x2", "x1"], [], None, "a table with no atom needs a ground set"),
+    (["x1", "y1"], [], None, "not a variable: 'y1'"),
 ]
 
 
@@ -152,6 +156,22 @@ def test_ground_validation():
     with pytest.raises(ValueError) as err:
         table_from_csv("")
     assert str(err.value) == "empty CSV input"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("TOPT.csv", "\n\n"),
+    ("HDR.csv", "x1,x2\n"),
+    ("E.json", '{"schema": "ALL", "rows": []}'),
+])
+def test_table_with_no_atom_needs_a_ground(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    stem = name.split(".")[0]
+    assert main(["eval", f"{stem} JOIN DIAG(x1,x2)", "--tables", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a table with no atom needs a ground set\n"
+    assert main(["eval", f"{stem} JOIN DIAG(x1,x2)", "--tables", str(path),
+                 "--ground", "a,b"]) == 0
+    assert "?" not in capsys.readouterr().out
 
 
 def test_load_table(tmp_path):
@@ -223,8 +243,10 @@ def reference_table_from_cells(names, cells, ground, what):
         ground = frozenset(ground)
         if not atoms <= ground:
             raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
+    elif atoms:
+        ground = frozenset(atoms)
     else:
-        ground = frozenset(atoms) or frozenset({"?"})
+        raise ValueError("a table with no atom needs a ground set")
     return Table.from_rows(ground, rows)
 
 
