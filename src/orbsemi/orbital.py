@@ -30,6 +30,7 @@ from .transforms import (
     schema_subset,
     schema_union,
 )
+from .tuples import NTuple
 
 
 #: sizes of the sampled element, tuple and base-tuple pools, and of the
@@ -198,15 +199,21 @@ def _random_injection(rng: random.Random, window: list) -> FPTransform:
     return FPTransform.of(dict(zip(srcs, tgts)))
 
 
-def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuples=()) -> dict:
+def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuples=(),
+             bases=(), terms=()) -> dict:
     """Each variable a check may quantify over, and how its value in case
-    ``i`` is drawn.  ``u`` runs through the element pool and ``t`` through
-    the tuple pool in order before they sample, so the first quantifier
-    position exhausts its pool."""
+    ``i`` is drawn.  ``u``, ``t``, ``b`` and ``term`` run through the
+    element, tuple, base-tuple and term pools in order before they sample,
+    so the first quantifier position exhausts its pool.  ``tt`` is a tuple
+    over the window with values in the term pool.  ``bits`` and ``ks`` are
+    random integers that a body reduces against values of its own."""
     choice = rng.choice
     return {
         "u": lambda i: elements[i] if i < len(elements) else choice(elements),
         "t": lambda i: tuples[i] if i < len(tuples) else choice(tuples),
+        "b": lambda i: bases[i] if i < len(bases) else choice(bases),
+        "term": lambda i: terms[i] if i < len(terms) else choice(terms),
+        "tt": lambda _: NTuple.of({x: choice(terms) for x in window if rng.random() < 0.7}),
         "v": lambda _: choice(elements),
         "vs": lambda _: [choice(elements) for _ in range(rng.randrange(4))],
         "lam": lambda _: choice(transforms),
@@ -217,6 +224,8 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
         "w": lambda _: choice(window),
         "Y": lambda _: frozenset(x for x in window if rng.random() < 0.5),
         "k": lambda _: rng.randrange(WITNESS_CAP),
+        "bits": lambda _: rng.getrandbits(256),
+        "ks": lambda _: [rng.getrandbits(32) for _ in range(rng.randint(1, 3))],
         "inj": lambda _: _random_injection(rng, window),
         "delta": lambda _: _random_folding(rng, window),
         "window": lambda _: window,
@@ -224,9 +233,9 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
 
 
 def _shown(value):
-    """A counterexample field: numbers as they are, variable sets sorted,
-    lists item by item and anything else by its repr."""
-    if isinstance(value, int):
+    """A counterexample field: numbers and text as they are, variable sets
+    sorted, lists item by item and anything else by its repr."""
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, frozenset):
         return sorted(value)
@@ -239,7 +248,7 @@ def _shown(value):
 # Axiom bodies.  A body's parameters after ``inst`` are the variables it
 # quantifies over, each drawn from its domain in ``_domains``.  It returns
 # None when the case does not apply, else (ok, detail) with detail() the
-# extra counterexample fields (see run_cases).
+# extra counterexample fields (see _run_check).
 
 
 def _ax1(inst, u):
@@ -510,60 +519,44 @@ _DERIVED = {
 DERIVED_IDS = tuple(_DERIVED)
 
 
-def run_cases(check_id: str, seed: int, cases, body) -> CheckReport:
-    """Run ``body`` on each case in turn and stop at the first failure.
-
-    ``body(case)`` returns None when the case does not apply, else
-    ``(ok, detail)``; ``detail()`` builds the counterexample and is called
-    only on failure.  ``cases`` is consumed lazily, one case per call, so a
-    generator and a body that draw from one rng interleave their draws, and
-    nothing is drawn past a failure.
-    """
-    report = CheckReport(check_id=check_id, seed=seed)
-    for i, case in enumerate(cases):
+def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
+    """Run ``body(ctx, **case)``, where a case draws just the variables that
+    the body's parameters after its context ``ctx`` name.  From the check's
+    own stream it builds only the pools that those variables draw from, in
+    this order: the tuple pool (``ctx.tuple_pool``) for ``t``, the base-tuple
+    pool (``ctx.base_pool``) for ``b``, the element pool
+    (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the transformation
+    pool for ``lam`` or ``mu``; ``term`` and ``tt`` draw from ``ctx.terms``.
+    The check walks the first of its tuple, base-tuple, term and element
+    pools, and runs max(``cfg.cases``, walked pool size) cases; one case
+    when the body declares no variable.  It stops at the first failure and
+    only then calls ``detail()``.  A counterexample lists the drawn values,
+    then the body's extra fields, then ``case_index``."""
+    code = body.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    rng = random.Random(cfg.seed)
+    tuples = ctx.tuple_pool(cfg, rng) if "t" in names else ()
+    bases = ctx.base_pool(rng) if "b" in names else ()
+    terms = ctx.terms if {"term", "tt"}.intersection(names) else ()
+    elements = ctx.element_pool(cfg, rng) if {"u", "v", "vs"}.intersection(names) else ()
+    transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
+    domains = _domains(rng, sorted(cfg.window), elements, transforms, tuples, bases, terms)
+    draws = [(name, domains[name]) for name in names]
+    walked = tuples or bases or terms or elements
+    report = CheckReport(check_id=check_id, seed=cfg.seed)
+    for i in range(max(cfg.cases, len(walked)) if draws else 1):
+        case = {name: draw(i) for name, draw in draws}
         report.cases_run += 1
-        outcome = body(case)
+        outcome = body(ctx, **case)
         if outcome is None:
             continue
         report.cases_applicable += 1
         ok, detail = outcome
         if not ok:
             report.passed = False
-            report.counterexample = dict(detail(), case_index=i)
+            fields = {**case, **detail(), "case_index": i}
+            report.counterexample = {k: _shown(v) for k, v in fields.items()}
             break
-    return report
-
-
-def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
-    """Run ``body(ctx, **case)``, where a case draws just the variables that
-    the body's parameters after its context ``ctx`` name.  From the check's
-    own stream it builds only the pools that those variables draw from, in
-    this order: the tuple pool (``ctx.tuple_pool``) for ``t``, the element
-    pool (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the
-    transformation pool for ``lam`` or ``mu``.  The check walks its tuple
-    pool if it has one, else its element pool, and runs max(``cfg.cases``,
-    walked pool size) cases; one case when the body declares no variable.
-    A counterexample lists the drawn values, then the body's extra fields."""
-    code = body.__code__
-    names = code.co_varnames[1:code.co_argcount]
-    rng = random.Random(cfg.seed)
-    tuples = ctx.tuple_pool(cfg, rng) if "t" in names else ()
-    elements = ctx.element_pool(cfg, rng) if {"u", "v", "vs"}.intersection(names) else ()
-    transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
-    domains = _domains(rng, sorted(cfg.window), elements, transforms, tuples)
-    draws = [(name, domains[name]) for name in names]
-    case = {}
-
-    def cases():
-        for i in range(max(cfg.cases, len(tuples or elements)) if draws else 1):
-            for name, draw in draws:
-                case[name] = draw(i)
-            yield case
-
-    report = run_cases(check_id, cfg.seed, cases(), lambda c: body(ctx, **c))
-    if not report.passed:  # run_cases stops at a failure, so ``case`` is the failing one
-        fields = {**case, **report.counterexample}
-        report.counterexample = {k: _shown(v) for k, v in fields.items()}
     return report
 
 

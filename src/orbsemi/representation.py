@@ -15,7 +15,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 from .labeling import Labeling, check_embedding, check_labeling, quotient
-from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, run_cases
+from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _run_check
 from .tables import all_rows
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
@@ -281,20 +281,33 @@ class RepresentationBuilder:
                 stratum_truncated = True
             current = set(current) | set(admitted)
             strata.append(frozenset(current))
-        return HSet(strata=strata, symbols_truncated=self.symbols_truncated,
-                    stratum_truncated=stratum_truncated)
+        self.H = HSet(strata=strata, symbols_truncated=self.symbols_truncated,
+                      stratum_truncated=stratum_truncated)
+        self.terms = sorted(current, key=GroundTerm.sort_key)
+        return self.H
 
-    def satisfies_membership_characterization(self, H: HSet, term: GroundTerm) -> bool:
+    def base_pool(self, rng: random.Random) -> list:
+        """Base tuples over H: the empty tuple, the closure of each term in
+        term order, then random closures of one to three terms while the pool
+        holds fewer than ELEMENT_BUDGET tuples.  So it holds 1 + |H| tuples
+        when that is at least ELEMENT_BUDGET, else at most ELEMENT_BUDGET."""
+        terms = self.terms
+        out = dict.fromkeys([NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
+        budget = ELEMENT_BUDGET
+        while len(out) < budget and terms:
+            picks = rng.sample(terms, rng.randrange(1, min(3, len(terms)) + 1))
+            b = base_tuple_for(NTuple.of({i + 1: p for i, p in enumerate(picks)}))
+            if b in out:
+                budget -= 1  # avoid spinning when the space is exhausted
+            out[b] = None
+        return list(out)
+
+    def satisfies_membership_characterization(self, term: GroundTerm) -> bool:
         """Independent re-check of admission: children in H, pairwise distinct,
         head domain an initial segment, and the admission equation."""
         cs = term.children
-        if len(set(cs)) != len(cs):
-            return False
-        if not all(c in H.terms for c in cs):
-            return False
-        if arity(self.inst, term.head) != len(cs):
-            return False
-        return self.admissible(term.head, cs)
+        return (len(set(cs)) == len(cs) and all(c in self.H.terms for c in cs)
+                and arity(self.inst, term.head) == len(cs) and self.admissible(term.head, cs))
 
 
 def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) -> HSet:
@@ -303,166 +316,157 @@ def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Harvested-case property checks
+# Harvested-case property checks.  As for the axioms (see orbital._run_check),
+# a body's parameters after the builder ``ctx`` are the variables it
+# quantifies over; a body reduces the integers ``bits`` and ``ks`` against
+# the terms of ``b``, which it takes in the order b lists them.
 
 
-def _harvest_base_tuples(H: HSet, rng: random.Random, budget: int) -> list:
-    """Base tuples over H: singletons' closures plus random multi-term closures."""
-    terms = sorted(H.terms, key=GroundTerm.sort_key)
-    out = dict.fromkeys([NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
-    while len(out) < budget and terms:
-        k = rng.randrange(1, min(3, len(terms)) + 1)
-        picks = rng.sample(terms, k)
-        b = base_tuple_for(NTuple.of({i + 1: p for i, p in enumerate(picks)}))
-        if b in out:
-            budget -= 1  # avoid spinning when the space is exhausted
-        out[b] = None
-    return list(out)
+def _subset(b: NTuple, bits: int) -> list:
+    """The terms of b at the set bits of ``bits``."""
+    return [a for i, (_, a) in enumerate(b.pairs) if bits >> i & 1]
 
 
-def _closed_subtuple(b: NTuple, rng: random.Random) -> NTuple:
-    """Astrict b to the subterm closure of a random subset of its range;
-    the result is again a base tuple below b."""
-    kept = [a for a in sorted(b.rng, key=GroundTerm.sort_key) if rng.random() < 0.6]
-    return astrict(b, subterm_closure(kept))
+def _picked(b: NTuple, ks) -> NTuple:
+    """<x1: the k1-th term of b, x2: the k2-th, ...>, each k taken modulo |b|."""
+    return NTuple.of({i: b.pairs[k % len(b.pairs)][1] for i, k in enumerate(ks, start=1)})
 
 
-def harvested_checks(builder: RepresentationBuilder, H: HSet,
-                     cfg: SampleConfig) -> list:
-    """The property suite over base tuples and terms harvested from H.
+def _arranged(items, bits: int) -> list:
+    """The items in the order that ``bits`` picks, read as the digits of a
+    factorial-base number."""
+    items, out = list(items), []
+    while items:
+        bits, r = divmod(bits, len(items))
+        out.append(items.pop(r))
+    return out
 
-    The checks draw from one rng in the order of the list at the end.  Draws
-    over a set of terms walk it in term order, so the cases do not depend on
-    the process's string-hash seed."""
-    inst = builder.inst
-    rng = random.Random(cfg.seed)
-    bases = _harvest_base_tuples(H, rng, budget=ELEMENT_BUDGET)
-    terms = sorted(H.terms, key=GroundTerm.sort_key)
 
-    def membership(term):
-        return builder.satisfies_membership_characterization(H, term), lambda: {
-            "term": builder.format_term(term)}
+def _rep_membership(ctx, term):
+    return ctx.satisfies_membership_characterization(term), lambda: {
+        "term": ctx.format_term(term)}
 
-    def kappa_dom(b):
-        k = builder.kappa(b)
-        if k == inst.zero():
-            return None
-        return inst.dom(k) == b.df, lambda: {"b": repr(b), "kappa": repr(k)}
 
-    def kappa_reorder(b):
-        if not b.pairs:
-            return None
-        srcs = rng.sample(range(1, 2 * len(b.pairs) + 2), len(b.pairs))
-        tgts = list(b.df)
-        rng.shuffle(tgts)
-        xi = FPTransform.of(dict(zip(sorted(srcs), tgts)))
-        b_xi = compose(b, xi)
-        lhs = builder.kappa(b_xi)
-        rhs = inst.act(builder.kappa(b), xi)
-        return lhs == rhs, lambda: {"b": repr(b), "xi": repr(xi),
-                                    "kappa(b∘xi)": repr(lhs), "kappa(b)·xi": repr(rhs)}
+def _rep_kappa_dom(ctx, b):
+    k = ctx.kappa(b)
+    if k == ctx.inst.zero():
+        return None
+    return ctx.inst.dom(k) == b.df, lambda: {"kappa": k}
 
-    def kappa_split(b):
-        if len(b.pairs) < 2:
-            return None
-        half = frozenset(a for a in sorted(b.rng, key=GroundTerm.sort_key) if rng.random() < 0.5)
-        b1 = astrict(b, subterm_closure(half))
-        b2 = astrict(b, subterm_closure(b.rng - half))
-        # each pair of b is kept in b1 or in b2, so b is their merge
-        lhs = builder.kappa(b)
-        rhs = inst.meet(builder.kappa(b1), builder.kappa(b2))
-        return lhs == rhs, lambda: {"b": repr(b), "b1": repr(b1), "b2": repr(b2),
-                                    "kappa(b)": repr(lhs), "meet": repr(rhs)}
 
-    def base_independence(b):
-        if not b.pairs:
-            return None
-        # re-evaluate through a differently-ordered base tuple with the same range
-        perm = list(b.df)
-        rng.shuffle(perm)
-        xi = FPTransform.of(dict(zip(sorted(b.df), perm)))
-        b2 = compose(b, xi)
-        t = NTuple.of({i + 1: rng.choice(sorted(b.rng, key=GroundTerm.sort_key))
-                       for i in range(rng.randrange(1, 4))})
-        lhs = builder.alpha(t)
-        rhs = builder.eval_via(b2, t)
-        if subterm_closure(t.rng) != frozenset(b.rng):
-            return None
-        return lhs == rhs, lambda: {"t": repr(t), "b2": repr(b2),
-                                    "alpha(t)": repr(lhs), "via b2": repr(rhs)}
+def _rep_kappa_reorder(ctx, b, bits):
+    n = len(b.pairs)
+    if not n:
+        return None
+    # xi sends n of x1 .. x_{2n+1} onto df(b) = {x1 .. xn}, as bits orders them
+    order = _arranged(range(1, 2 * n + 2), bits)
+    xi = FPTransform.of(dict(zip(sorted(order[:n]), [x for x in order if x <= n])))
+    lhs = ctx.kappa(compose(b, xi))
+    rhs = ctx.inst.act(ctx.kappa(b), xi)
+    return lhs == rhs, lambda: {"xi": xi, "kappa(b∘xi)": lhs, "kappa(b)·xi": rhs}
 
-    def eta_recovery(term):
-        lhs = builder.alpha(eta(term))
-        return lhs == term.head, lambda: {"term": builder.format_term(term),
-                                          "alpha(eta)": repr(lhs)}
 
-    def nested_reduction(b):
-        a = _closed_subtuple(b, rng)
-        lhs = inst.act(builder.kappa(b), partial_identity(a.df))
-        rhs = builder.kappa(a)
-        return lhs == rhs, lambda: {"b": repr(b), "a": repr(a),
-                                    "kappa(b)·pi": repr(lhs), "kappa(a)": repr(rhs)}
+def _rep_kappa_split(ctx, b, bits):
+    if len(b.pairs) < 2:
+        return None
+    half = frozenset(_subset(b, bits))
+    b1 = astrict(b, subterm_closure(half))
+    b2 = astrict(b, subterm_closure(b.rng - half))
+    # each pair of b is kept in b1 or in b2, so b is their merge
+    lhs = ctx.kappa(b)
+    rhs = ctx.inst.meet(ctx.kappa(b1), ctx.kappa(b2))
+    return lhs == rhs, lambda: {"b1": b1, "b2": b2, "kappa(b)": lhs, "meet": rhs}
 
-    def eval_via_cover(b):
-        if not b.pairs:
-            return None
-        vals = sorted(b.rng, key=GroundTerm.sort_key)
-        t = NTuple.of({i + 1: rng.choice(vals)
-                       for i in range(rng.randrange(0, 4))})
-        lhs = builder.alpha(t)
-        rhs = builder.eval_via(b, t)
-        return lhs == rhs, lambda: {"t": repr(t), "b": repr(b),
-                                    "alpha(t)": repr(lhs), "kappa(b)·(b^-1∘t)": repr(rhs)}
 
-    def kappa_nonzero(b):
-        return builder.kappa(b) != inst.zero(), lambda: {"b": repr(b)}
+def _rep_base_independence(ctx, b, bits, ks):
+    if not b.pairs:
+        return None
+    t = _picked(b, ks)
+    if subterm_closure(t.rng) != b.rng:
+        return None
+    # re-evaluate through a differently-ordered base tuple with the same range
+    xi = FPTransform.of(dict(zip(sorted(b.df), _arranged(sorted(b.df), bits))))
+    b2 = compose(b, xi)
+    lhs = ctx.alpha(t)
+    rhs = ctx.eval_via(b2, t)
+    return lhs == rhs, lambda: {"t": t, "b2": b2, "alpha(t)": lhs, "via b2": rhs}
 
-    def extended_eta(term):
-        closure = sorted(subterm_closure([term]), key=GroundTerm.sort_key)
-        e = eta(term)  # defined on x1 .. x_{n+1}
-        rest = [s for s in closure if s not in e.rng]
-        b = NTuple(e.pairs + tuple(enumerate(rest, start=len(e.pairs) + 1)))
-        if not is_base_tuple(b):
-            return None
-        n = len(term.children)
-        i_ok = inst.act(builder.kappa(b),
-                        partial_identity(range(1, n + 2))) == term.head
-        a = astrict(b, subterm_closure(term.children))
-        ii_ok = inst.act(builder.kappa(b),
-                         partial_identity(a.df)) == builder.kappa(a)
-        return i_ok and ii_ok, lambda: {"term": builder.format_term(term),
-                                        "b": repr(b), "i_ok": i_ok, "ii_ok": ii_ok}
 
-    def extension_witness(_):
-        # alpha(t) = v·pi_{df(t)} must admit an extension with alpha = v exactly
-        if not terms:
-            return None
-        X = frozenset(x for x in range(1, 4) if rng.random() < 0.7)
-        tt = NTuple.of({x: rng.choice(terms) for x in X})
-        v = builder.alpha(tt)
-        keep = frozenset(x for x in X if rng.random() < 0.5)
-        t = restrict(tt, keep)
-        if len(terms) ** len(X - keep) > 512:
-            return None
-        for rest in all_rows(terms, X - keep):
-            if builder.alpha(merge(t, rest)) == v:
-                return True, None
-        return False, lambda: {"t": repr(t), "v": repr(v)}
+def _rep_eta_recovery(ctx, term):
+    lhs = ctx.alpha(eta(term))
+    return lhs == term.head, lambda: {"term": ctx.format_term(term), "alpha(eta)": lhs}
 
-    return [
-        run_cases("rep-membership", cfg.seed, terms, membership),
-        run_cases("rep-kappa-dom", cfg.seed, bases, kappa_dom),
-        run_cases("rep-kappa-reorder", cfg.seed, bases, kappa_reorder),
-        run_cases("rep-kappa-split", cfg.seed, bases, kappa_split),
-        run_cases("rep-base-independence", cfg.seed, bases, base_independence),
-        run_cases("rep-eta-recovery", cfg.seed, terms, eta_recovery),
-        run_cases("rep-nested-reduction", cfg.seed, bases, nested_reduction),
-        run_cases("rep-eval-via-cover", cfg.seed, bases, eval_via_cover),
-        run_cases("rep-kappa-nonzero", cfg.seed, bases, kappa_nonzero),
-        run_cases("rep-extended-eta", cfg.seed, terms, extended_eta),
-        run_cases("rep-extension-witness", cfg.seed, range(min(cfg.cases, 60)),
-                  extension_witness),
-    ]
+
+def _rep_nested_reduction(ctx, b, bits):
+    # b astricted to the subterm closure of some of its terms is again a
+    # base tuple, below b
+    a = astrict(b, subterm_closure(_subset(b, bits)))
+    lhs = ctx.inst.act(ctx.kappa(b), partial_identity(a.df))
+    rhs = ctx.kappa(a)
+    return lhs == rhs, lambda: {"a": a, "kappa(b)·pi": lhs, "kappa(a)": rhs}
+
+
+def _rep_eval_via_cover(ctx, b, ks):
+    if not b.pairs:
+        return None
+    t = _picked(b, ks)
+    lhs = ctx.alpha(t)
+    rhs = ctx.eval_via(b, t)
+    return lhs == rhs, lambda: {"t": t, "alpha(t)": lhs, "kappa(b)·(b^-1∘t)": rhs}
+
+
+def _rep_kappa_nonzero(ctx, b):
+    return ctx.kappa(b) != ctx.inst.zero(), lambda: {}
+
+
+def _rep_extended_eta(ctx, term):
+    e = eta(term)  # defined on x1 .. x_{n+1}
+    rest = sorted(term.subterms() - e.rng, key=GroundTerm.sort_key)
+    b = NTuple(e.pairs + tuple(enumerate(rest, start=len(e.pairs) + 1)))
+    if not is_base_tuple(b):
+        return None
+    inst, k = ctx.inst, ctx.kappa(b)
+    i_ok = inst.act(k, partial_identity(e.df)) == term.head
+    a = astrict(b, subterm_closure(term.children))
+    ii_ok = inst.act(k, partial_identity(a.df)) == ctx.kappa(a)
+    return i_ok and ii_ok, lambda: {"term": ctx.format_term(term), "b": b,
+                                    "i_ok": i_ok, "ii_ok": ii_ok}
+
+
+def _rep_extension_witness(ctx, tt, Y):
+    # alpha(t) = v·pi_{df(t)} must admit an extension with alpha = v exactly
+    v = ctx.alpha(tt)
+    t, missing = restrict(tt, Y), sorted(tt.df - Y)
+    if len(ctx.terms) ** len(missing) > 512:
+        return None
+    for combo in itertools.product(ctx.terms, repeat=len(missing)):
+        if ctx.alpha(merge(t, NTuple.of(dict(zip(missing, combo))))) == v:
+            return True, None
+    return False, lambda: {"t": t, "v": v}
+
+
+_REPRESENTATION = {
+    "rep-membership": _rep_membership,
+    "rep-kappa-dom": _rep_kappa_dom,
+    "rep-kappa-reorder": _rep_kappa_reorder,
+    "rep-kappa-split": _rep_kappa_split,
+    "rep-base-independence": _rep_base_independence,
+    "rep-eta-recovery": _rep_eta_recovery,
+    "rep-nested-reduction": _rep_nested_reduction,
+    "rep-eval-via-cover": _rep_eval_via_cover,
+    "rep-kappa-nonzero": _rep_kappa_nonzero,
+    "rep-extended-eta": _rep_extended_eta,
+    "rep-extension-witness": _rep_extension_witness,
+}
+
+
+def harvested_checks(builder: RepresentationBuilder, cfg: SampleConfig) -> list:
+    """The property suite over the terms and base tuples of the builder's H
+    (``build_H`` must have run, with H nonempty).  Each law runs on its own
+    stream, one case per value of the pool it walks."""
+    cfg = replace(cfg, cases=1)
+    return [_run_check(builder, check_id, body, cfg)
+            for check_id, body in _REPRESENTATION.items()]
 
 
 @dataclass
@@ -533,13 +537,13 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
         symbol_count=len(builder.symbols),
         symbols_truncated=H.symbols_truncated,
         stratum_truncated=H.stratum_truncated,
-        terms=[builder.format_term(t) for t in sorted(H.terms, key=GroundTerm.sort_key)],
+        terms=[builder.format_term(t) for t in builder.terms],
     )
     if not H.terms:
         report.error = "H is empty (no constants in the signature)"
         return report
 
-    report.checks.extend(harvested_checks(builder, H, cfg))
+    report.checks.extend(harvested_checks(builder, cfg))
 
     # Witness-closed fragment: tuples draw atoms from the penultimate stratum,
     # so every L3-style witness (one stratum deeper) exists in the built H.

@@ -12,8 +12,8 @@ import pytest
 
 import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
-from orbsemi.representation import (GroundTerm, RepresentationBuilder, _harvest_base_tuples,
-                                     alpha_tilde, base_tuple_for, kappa)
+from orbsemi.representation import (GroundTerm, RepresentationBuilder, alpha_tilde,
+                                     base_tuple_for, kappa)
 from orbsemi.tables import TableAlgebra
 from orbsemi.transforms import FPTransform, compose
 from orbsemi.tuples import NTuple
@@ -58,7 +58,7 @@ def test_builder_matches_the_free_reference(mutant_id):
     H = builder.build_H()
     assert H.terms
     rng = random.Random(0)
-    for b in _harvest_base_tuples(H, rng, budget=40):
+    for b in builder.base_pool(rng):
         assert builder.kappa(b) == kappa(b, inst)
         if b.pairs:
             for duplicate in (False, True):
@@ -72,14 +72,13 @@ def test_builder_matches_the_free_reference(mutant_id):
         assert builder.alpha(t) == alpha_tilde(t, inst)
 
 
-#: prints the rep-nested-reduction draws over the harvested bases of
-#: Tab({a}) at depth 4, then the instance meets of the harvested checks
-#: (rep-kappa-split draws which kappas it meets)
+#: prints the JSON of every rep-* report on Tab({a}) at depth 4, then the
+#: instance meets that the harvested checks make (rep-kappa-split's draws
+#: decide which kappas it meets)
 _PROBE = """
-import random
+import json
 from orbsemi.orbital import SampleConfig
-from orbsemi.representation import (RepCaps, RepresentationBuilder, _closed_subtuple,
-                                    _harvest_base_tuples, harvested_checks)
+from orbsemi.representation import RepCaps, RepresentationBuilder, harvested_checks
 from orbsemi.tables import TableAlgebra
 
 class CountingTab(TableAlgebra):
@@ -90,11 +89,10 @@ class CountingTab(TableAlgebra):
         return super().meet(u, v)
 
 builder = RepresentationBuilder(CountingTab({"a"}), RepCaps(depth=4))
-H = builder.build_H()
-rng = random.Random(0)
-print([sorted(_closed_subtuple(b, rng).df) for b in _harvest_base_tuples(H, rng, 40)])
+builder.build_H()
 CountingTab.meets = 0
-harvested_checks(builder, H, SampleConfig())
+for report in harvested_checks(builder, SampleConfig()):
+    print(json.dumps(report.to_json()))
 print(CountingTab.meets)
 """
 
@@ -108,5 +106,5 @@ def _probe(hash_seed):
 
 def test_harvested_draws_do_not_depend_on_the_hash_seed():
     first, *others = (_probe(s) for s in (0, 1, 2))
-    assert first.count("\n") == 2
+    assert first.count("\n") == 12  # eleven rep-* reports and the meet count
     assert all(out == first for out in others)

@@ -249,7 +249,7 @@ rep-nested-reduction: PASS (2/2 applicable cases)
 rep-eval-via-cover: PASS (1/2 applicable cases)
 rep-kappa-nonzero: PASS (2/2 applicable cases)
 rep-extended-eta: PASS (1/1 applicable cases)
-rep-extension-witness: PASS (60/60 applicable cases)
+rep-extension-witness: PASS (1/1 applicable cases)
 quasi/L1: PASS (200/200 applicable cases)
 quasi/L2: PASS (200/200 applicable cases)
 quasi/L3: PASS (175/200 applicable cases)

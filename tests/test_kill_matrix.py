@@ -5,15 +5,18 @@ matrix pins, for every mutant, the failing ids among the 13 axioms, the 17
 derived properties and the labeling laws L1-L4 plus the ``emb-*`` checks of
 the singleton labeling, so a change to the checker or to the mutants that
 alters what is caught shows up here.  The measure follows mutation analysis
-(DeMillo, Lipton and Sayward, 1978).  The pipeline column (``represent`` per
-mutant) is ROADMAP item 4.
+(DeMillo, Lipton and Sayward, 1978).  The ``rep-*`` column pins what
+``represent`` reports on Tab({a}); the rest of the pipeline column is ROADMAP
+item 4.
 """
 
 import pytest
 
-from orbsemi.labeling import check_embedding, check_labeling, singleton_labeling
+from orbsemi.labeling import (QuotientError, check_embedding, check_labeling,
+                              singleton_labeling)
 from orbsemi.mutants import MUTANTS, make_mutant
 from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived, check_derived
+from orbsemi.representation import represent
 from orbsemi.tables import TableAlgebra
 
 CFG = SampleConfig(cases=100)
@@ -147,3 +150,32 @@ def test_dom_top_all_embedding_raises(base):
     alpha = singleton_labeling(make_mutant("dom-top-all", base))
     with pytest.raises(ValueError, match="extent needs a finite domain"):
         check_embedding(alpha, CFG)
+
+
+#: mutant id -> the rep-* checks that fail when ``represent`` runs on Tab({a})
+#: under it, for the mutants that catch any; every other rep-* check passes
+REP_KILLS = {
+    "dom-drop-max": ["rep-membership", "rep-kappa-dom"],
+    "dom-extra-var": ["rep-membership", "rep-kappa-dom"],
+    "empty-proj-zero": ["rep-nested-reduction", "rep-extended-eta"],
+}
+
+#: mutant id -> what ``represent`` on Tab({a}) raises instead of reporting
+#: (ROADMAP item 4)
+REP_RAISES = {
+    "act-trim-map": (QuotientError, "relation is not an equivalence"),
+    "dom-top-all": (ValueError, "extent needs a finite domain"),
+}
+
+
+@pytest.mark.parametrize("mutant_id", sorted(MUTANTS))
+def test_rep_kill_column(mutant_id):
+    inst = make_mutant(mutant_id, TableAlgebra({"a"}))
+    if mutant_id in REP_RAISES:
+        error, text = REP_RAISES[mutant_id]
+        with pytest.raises(error, match=text):
+            represent(inst, SampleConfig())
+        return
+    checks = represent(inst, SampleConfig()).checks
+    assert _failing(c for c in checks if c.check_id.startswith("rep-")) == \
+        REP_KILLS.get(mutant_id, [])

@@ -13,6 +13,7 @@ from orbsemi.orbital import (
     _duplication_case,
     _random_folding,
     _random_injection,
+    _run_check,
     _transform_pool,
     check_all_axioms,
     check_all_derived,
@@ -23,6 +24,8 @@ from orbsemi.orbital import (
 from orbsemi import labeling
 from orbsemi.labeling import _EMBEDDING, _LABELING
 from orbsemi.mutants import TARGETS, make_mutant
+from orbsemi.representation import (_REPRESENTATION, RepresentationBuilder, _arranged,
+                                     _picked, _subset)
 from orbsemi.tables import TableAlgebra, natural_join
 from orbsemi.transforms import EMPTY, FPTransform, is_folding, partial_identity
 
@@ -125,7 +128,8 @@ def _declared(body) -> list:
 
 
 #: every registered check body, by its check id
-BODIES = [*_AXIOMS.items(), *_DERIVED.items(), *_LABELING.items(), *_EMBEDDING.items()]
+BODIES = [*_AXIOMS.items(), *_DERIVED.items(), *_LABELING.items(), *_EMBEDDING.items(),
+          *_REPRESENTATION.items()]
 
 
 @pytest.mark.parametrize("check_id, body", BODIES)
@@ -133,7 +137,7 @@ def test_every_quantified_variable_names_a_domain(check_id, body):
     # an undeclared name would raise KeyError, which the CLI reports as a
     # usage error (exit 2) instead of a verification fault
     domains = _domains(random.Random(0), [])
-    context = "ctx" if check_id in {*_LABELING, *_EMBEDDING} else "inst"
+    context = "ctx" if check_id in {*_LABELING, *_EMBEDDING, *_REPRESENTATION} else "inst"
     assert body.__code__.co_varnames[0] == context
     assert set(_declared(body)) <= set(domains), check_id
 
@@ -156,22 +160,30 @@ class CountingTab(TableAlgebra):
 
 @pytest.mark.parametrize("check_id, body", BODIES)
 def test_pools_follow_the_declared_variables(check_id, body, monkeypatch):
-    # a check builds the element pool only when it draws u, v or vs, and the
-    # tuple pool only when it draws t
-    tuple_pools = []
+    # a check builds the element pool only when it draws u, v or vs, the
+    # tuple pool only when it draws t, and the base pool only when it draws b
+    tuple_pools, base_pools = [], []
     tuple_pool = labeling._Laws.tuple_pool
     monkeypatch.setattr(labeling._Laws, "tuple_pool",
                         lambda ctx, cfg, rng: tuple_pools.append(1) or tuple_pool(ctx, cfg, rng))
+    base_pool = RepresentationBuilder.base_pool
+    monkeypatch.setattr(RepresentationBuilder, "base_pool",
+                        lambda ctx, rng: base_pools.append(1) or base_pool(ctx, rng))
     inst, cfg = CountingTab({"a"}), SampleConfig(cases=1)
     if check_id in _AXIOMS:
         check_axiom(inst, check_id, cfg)
     elif check_id in _DERIVED:
         check_derived(inst, check_id, cfg)
+    elif check_id in _REPRESENTATION:
+        builder = RepresentationBuilder(inst)
+        builder.build_H()
+        _run_check(builder, check_id, body, cfg)
     else:
         labeling.check_law(labeling.singleton_labeling(inst), check_id, cfg)
     declared = set(_declared(body))
     assert inst.element_pools == bool(declared & {"u", "v", "vs"}), check_id
     assert len(tuple_pools) == ("t" in declared), check_id
+    assert len(base_pools) == ("b" in declared), check_id
 
 
 @pytest.mark.parametrize("axiom_id", AXIOM_IDS)
@@ -189,7 +201,8 @@ def test_counterexample_lists_only_the_declared_variables(alg, axiom_id):
 
 
 @pytest.mark.parametrize("body", [*_AXIOMS.values(), *_DERIVED.values(), _duplication_case,
-                                  *_LABELING.values(), *_EMBEDDING.values()])
+                                  *_LABELING.values(), *_EMBEDDING.values(),
+                                  *_REPRESENTATION.values(), _subset, _picked, _arranged])
 def test_bodies_draw_nothing_themselves(body):
     # every value a case needs comes from the declared domains
     assert not {"random", "choice", "sample", "randrange"} & set(body.__code__.co_names)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbsemi.mutants import MutantAlgebra
-from orbsemi.orbital import SampleConfig
+from orbsemi.orbital import ELEMENT_BUDGET, SampleConfig
 from orbsemi.representation import (
     GroundTerm,
     RepCaps,
     RepresentationBuilder,
-    _harvest_base_tuples,
     alpha_tilde,
     arity,
     base_tuple_for,
@@ -153,7 +152,7 @@ def test_admitted_terms_recheck(alg2):
     builder = RepresentationBuilder(alg2)
     H = builder.build_H()
     for t in H.terms:
-        assert builder.satisfies_membership_characterization(H, t)
+        assert builder.satisfies_membership_characterization(t)
 
 
 def test_symbol_truncation_reported(alg2):
@@ -173,14 +172,29 @@ def test_symbol_cap_reached_exactly_is_not_truncation(alg):
 
 def test_kappa_split_halves_merge_back(alg2):
     # rep-kappa-split relies on this: each pair of b is kept in b1 or in b2
-    H = build_H(alg2)
-    for b in _harvest_base_tuples(H, random.Random(0), budget=40):
+    builder = RepresentationBuilder(alg2)
+    builder.build_H()
+    for b in builder.base_pool(random.Random(0)):
         vals = sorted(b.rng, key=GroundTerm.sort_key)
         for k in range(len(vals) + 1):
             for half in map(frozenset, itertools.combinations(vals, k)):
                 b1 = astrict(b, subterm_closure(half))
                 b2 = astrict(b, subterm_closure(b.rng - half))
                 assert merge(b1, b2) == b
+
+
+@pytest.mark.parametrize("ground, depth, size", [("a", 3, 10), ("ab", 1, 8), ("ab", 2, 46)])
+def test_base_pool_has_one_base_per_term(ground, depth, size):
+    # the empty tuple, each term's closure in term order, then random
+    # closures while the pool holds fewer than ELEMENT_BUDGET tuples (Tab({a})
+    # at depth 3 has only 10 base tuples; Tab({a,b}) at depth 2 has 45 terms)
+    builder = RepresentationBuilder(TableAlgebra(set(ground)), RepCaps(depth=depth))
+    builder.build_H()
+    pool = builder.base_pool(random.Random(0))
+    head = [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in builder.terms]
+    assert pool[:len(head)] == head
+    assert len(set(pool)) == len(pool) == size <= max(len(head), ELEMENT_BUDGET)
+    assert all(is_base_tuple(b) for b in pool)
 
 
 def test_stratum_truncation_reported(alg2):

@@ -1,13 +1,39 @@
-"""Unit tests of ``orbital.run_cases``, the loop every check family runs on."""
+"""Unit tests of the case loop in ``orbital._run_check``, which every check
+family runs on.
 
-import itertools
+The contexts below hand out the numbers 0, 1, 2, ... as their terms, so a
+body that declares ``term`` sees case ``i`` as the number ``i``."""
+
+from types import SimpleNamespace
 
 from orbsemi.labeling import check_embedding, check_labeling, singleton_labeling
-from orbsemi.orbital import SampleConfig, check_all_axioms, check_all_derived, run_cases
+from orbsemi.orbital import (SampleConfig, _run_check, check_all_axioms,
+                             check_all_derived)
 from orbsemi.representation import RepCaps, represent
 from orbsemi.tables import Table, TableAlgebra
 from orbsemi.transforms import FPTransform
 from orbsemi.tuples import NTuple
+
+
+class Numbers(list):
+    """The terms 0 .. n-1, recording the index of each one handed out."""
+
+    def __init__(self, n):
+        super().__init__(range(n))
+        self.drawn = []
+
+    def __getitem__(self, i):
+        self.drawn.append(i)
+        return super().__getitem__(i)
+
+
+def _run(ctx, body, seed=0):
+    # cases=1: the check runs one case per term
+    return _run_check(ctx, "demo", body, SampleConfig(cases=1, seed=seed))
+
+
+def _context(n):
+    return SimpleNamespace(terms=Numbers(n))
 
 
 def _detail_never_called():
@@ -17,17 +43,17 @@ def _detail_never_called():
 def test_stops_at_first_failure_with_its_index():
     seen = []
 
-    def body(n):
-        seen.append(n)
-        if n % 2:
+    def body(ctx, term):
+        seen.append(term)
+        if term % 2:
             return None  # odd cases do not apply
-        if n == 6:
-            return False, lambda: {"n": n}
+        if term == 6:
+            return False, lambda: {"n": term}
         return True, _detail_never_called
 
-    report = run_cases("demo", 7, range(20), body)
+    report = _run(_context(20), body, seed=7)
     assert not report.passed
-    assert report.counterexample == {"n": 6, "case_index": 6}
+    assert report.counterexample == {"term": 6, "n": 6, "case_index": 6}
     assert seen == [0, 1, 2, 3, 4, 5, 6]
     assert report.cases_run == 7
     assert report.cases_applicable == 4  # 0, 2, 4 and 6
@@ -36,52 +62,45 @@ def test_stops_at_first_failure_with_its_index():
 
 
 def test_counts_on_a_passing_run():
-    report = run_cases("demo", 0, range(10),
-                       lambda n: None if n < 3 else (True, _detail_never_called))
+    report = _run(_context(10),
+                  lambda ctx, term: None if term < 3 else (True, _detail_never_called))
     assert report.passed and not report.vacuous
     assert report.counterexample is None
     assert (report.cases_run, report.cases_applicable) == (10, 7)
 
 
 def test_empty_and_inapplicable_runs_are_vacuous():
-    empty = run_cases("demo", 0, [], lambda n: (False, lambda: {}))
+    # a body without variables runs one case, here one that does not apply
+    empty = _run(_context(0), lambda ctx: None)
     assert empty.vacuous and empty.passed
-    assert (empty.cases_run, empty.cases_applicable) == (0, 0)
-    skipped = run_cases("demo", 0, range(5), lambda n: None)
+    assert (empty.cases_run, empty.cases_applicable) == (1, 0)
+    skipped = _run(_context(5), lambda ctx, term: None)
     assert skipped.vacuous and skipped.passed
     assert (skipped.cases_run, skipped.cases_applicable) == (5, 0)
     assert skipped.to_json()["status"] == "vacuous"
 
 
 def test_cases_are_drawn_lazily_and_not_past_a_failure():
-    counter = itertools.count()
-    drawn = []
+    def body(ctx, term):
+        # the run has drawn exactly the cases handed out so far
+        assert ctx.terms.drawn == list(range(term + 1))
+        return term != 3, lambda: {}
 
-    def cases():
-        for n in counter:
-            drawn.append(n)
-            yield n
-
-    def body(n):
-        # the generator has drawn exactly the cases handed out so far
-        assert drawn == list(range(n + 1))
-        return n != 3, lambda: {}
-
-    report = run_cases("demo", 0, cases(), body)
-    assert report.counterexample == {"case_index": 3}
-    assert drawn == [0, 1, 2, 3]
-    assert next(counter) == 4  # nothing was drawn after the failing case
+    ctx = _context(100)
+    report = _run(ctx, body)
+    assert report.counterexample == {"term": 3, "case_index": 3}
+    assert ctx.terms.drawn == [0, 1, 2, 3]  # nothing was drawn after the failing case
 
 
 def test_detail_only_built_on_failure():
     built = []
 
-    def body(n):
-        return n < 50, lambda: built.append(n) or {"n": n}
+    def body(ctx, term):
+        return term < 50, lambda: built.append(term) or {"n": term}
 
-    report = run_cases("demo", 0, range(100), body)
+    report = _run(_context(100), body)
     assert built == [50]
-    assert report.counterexample == {"n": 50, "case_index": 50}
+    assert report.counterexample == {"term": 50, "n": 50, "case_index": 50}
 
 
 def test_passing_checks_build_no_counterexample_text(monkeypatch):
