@@ -275,7 +275,7 @@ def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
     atoms = sorted(alpha.ground, key=atom_key)
     d12 = inst.diag(1, 2)
     related = {g: frozenset(h for h in atoms
-                            if inst.leq(alpha(NTuple.of({1: g, 2: h})), d12))
+                            if inst.leq(alpha(NTuple.trusted(((1, g), (2, h)))), d12))
                for g in atoms}
     members = {}  # class -> its atoms, in atom order
     for a in atoms:

@@ -193,6 +193,7 @@ class RepresentationBuilder:
         self._alpha_cache = {}
         self._ops = {}  # (operation, *args) -> the instance's result
         self._eta_inverses = {}  # term -> ((value, least variable of eta(term)), ...)
+        self._folds = {}  # (prefix node, term, *its variables in b) -> (node, fold value)
         self.symbols, self.symbols_truncated = self._enumerate_symbols()
         self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
 
@@ -225,16 +226,24 @@ class RepresentationBuilder:
         return got
 
     def _kappa(self, b: NTuple):
-        """The free ``kappa(b, inst)``, with b inverted once: each term's
-        eta^{-r} ∘ b comes from the variables b sends to eta(term)'s values."""
+        """The free ``kappa(b, inst)`` as a walk down a trie of fold prefixes
+        (node 0 is the empty one).  A term's children sort before it, so the
+        fold over the first k terms of rng(b) depends only on those terms and
+        the variables b gives them; only an unseen step inverts b at the term
+        and calls the instance."""
         at = {}  # term -> the variables b maps to it
         for y, a in b.pairs:
             at.setdefault(a, []).append(y)
-        out = self._op("one")
+        node, out = 0, self._op("one")
         for term in sorted(at, key=GroundTerm.sort_key):
-            lam = sorted((y, x) for a, x in self._eta_inverse(term) for y in at.get(a, ()))
-            out = self._op("meet", out,
-                           self._op("act", term.head, FPTransform.trusted(tuple(lam))))
+            key = (node, term, *at[term])
+            step = self._folds.get(key)
+            if step is None:
+                lam = sorted((y, x) for a, x in self._eta_inverse(term) for y in at.get(a, ()))
+                out = self._op("meet", out,
+                               self._op("act", term.head, FPTransform.trusted(tuple(lam))))
+                step = self._folds[key] = (len(self._folds) + 1, out)
+            node, out = step
         return out
 
     def alpha(self, t: NTuple):
@@ -261,19 +270,27 @@ class RepresentationBuilder:
         return lhs == rhs
 
     def build_H(self) -> HSet:
+        """The strata of H up to ``caps.depth``: each adds the new terms over
+        the last that ``admissible`` would accept.  The symbols of each arity
+        n are indexed by v·π_{x1..xn}, so a combination of children costs one
+        alpha and one lookup.  Also builds ``base_pool``'s fixed head."""
+        heads = {}  # n -> {v·π_{x1..xn}: the symbols v of arity n with it}
+        for v, n in self.symbols:
+            lhs = self._op("act", v, partial_identity(range(1, n + 1)))
+            heads.setdefault(n, {}).setdefault(lhs, []).append(v)
         strata = [frozenset()]
         stratum_truncated = False
         current = set()
         for _ in range(self.caps.depth):
             admitted = []
             pool = sorted(current, key=GroundTerm.sort_key)
-            for v, n in self.symbols:
+            for n, by_lhs in heads.items():
                 for combo in itertools.permutations(pool, n):
-                    term = GroundTerm(v, combo)
-                    if term in current:
-                        continue
-                    if self.admissible(v, combo):
-                        admitted.append(term)
+                    rhs = self.alpha(NTuple.trusted(tuple(enumerate(combo, start=1))))
+                    for v in by_lhs.get(rhs, ()):
+                        term = GroundTerm(v, combo)
+                        if term not in current:
+                            admitted.append(term)
             admitted.sort(key=GroundTerm.sort_key)
             room = self.caps.max_terms_per_stratum - len(current)
             if len(admitted) > room:
@@ -284,15 +301,18 @@ class RepresentationBuilder:
         self.H = HSet(strata=strata, symbols_truncated=self.symbols_truncated,
                       stratum_truncated=stratum_truncated)
         self.terms = sorted(current, key=GroundTerm.sort_key)
+        self._base_head = dict.fromkeys(
+            [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in self.terms])
         return self.H
 
     def base_pool(self, rng: random.Random) -> list:
         """Base tuples over H: the empty tuple, the closure of each term in
         term order, then random closures of one to three terms while the pool
         holds fewer than ELEMENT_BUDGET tuples.  So it holds 1 + |H| tuples
-        when that is at least ELEMENT_BUDGET, else at most ELEMENT_BUDGET."""
+        when that is at least ELEMENT_BUDGET, else at most ELEMENT_BUDGET.
+        ``build_H`` builds the head before the random closures."""
         terms = self.terms
-        out = dict.fromkeys([NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
+        out = dict(self._base_head)
         budget = ELEMENT_BUDGET
         while len(out) < budget and terms:
             picks = rng.sample(terms, rng.randrange(1, min(3, len(terms)) + 1))

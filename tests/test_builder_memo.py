@@ -1,5 +1,6 @@
 """The builder's memoized kappa and alpha against the free reference
-functions, and harvested draws that do not depend on the hash seed."""
+functions, its indexed build_H against the per-candidate admission loop, and
+harvested draws that do not depend on the hash seed."""
 
 import itertools
 import os
@@ -12,8 +13,9 @@ import pytest
 
 import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
-from orbsemi.representation import (GroundTerm, RepresentationBuilder, alpha_tilde,
-                                     base_tuple_for, kappa)
+from orbsemi.orbital import SampleConfig
+from orbsemi.representation import (GroundTerm, HSet, RepCaps, RepresentationBuilder,
+                                     alpha_tilde, base_tuple_for, harvested_checks, kappa)
 from orbsemi.tables import TableAlgebra
 from orbsemi.transforms import FPTransform, compose
 from orbsemi.tuples import NTuple
@@ -49,12 +51,30 @@ def _reference_base_tuple(t):
     return NTuple.of(dict(enumerate(sorted(closure, key=GroundTerm.sort_key), start=1)))
 
 
-@pytest.mark.parametrize("mutant_id", [None, *sorted(MUTANTS)],
-                         ids=lambda m: m or "Tab(a,b)")
-def test_builder_matches_the_free_reference(mutant_id):
-    base = TableAlgebra({"a", "b"})
-    inst = base if mutant_id is None else make_mutant(mutant_id, base)
-    builder = RepresentationBuilder(inst)
+def _instance(ground, mutant_id=None):
+    base = TableAlgebra(set(ground))
+    return base if mutant_id is None else make_mutant(mutant_id, base)
+
+
+def _pair_tuples(terms):
+    return [NTuple.of({1: g, 2: h}) for g, h in itertools.product(terms, repeat=2)]
+
+
+#: Tab(G) at depth 2 and with deep shared fold prefixes, and every mutant at
+#: depth 2, whose meet may not commute, which pins the fold order
+_MEMO_CASES = [
+    pytest.param("ab", None, RepCaps(), id="Tab(a,b)"),
+    pytest.param("a", None, RepCaps(depth=4), id="Tab(a)-depth4"),
+    pytest.param("ab", None, RepCaps(max_symbols=300), id="Tab(a,b)-symbols300"),
+    *(pytest.param("ab", m, RepCaps(), id=m) for m in sorted(MUTANTS)),
+    *(pytest.param("a", m, RepCaps(), id=f"Tab(a)-{m}") for m in sorted(MUTANTS)),
+]
+
+
+@pytest.mark.parametrize("ground, mutant_id, caps", _MEMO_CASES)
+def test_builder_matches_the_free_reference(ground, mutant_id, caps):
+    inst = _instance(ground, mutant_id)
+    builder = RepresentationBuilder(inst, caps)
     H = builder.build_H()
     assert H.terms
     rng = random.Random(0)
@@ -65,11 +85,82 @@ def test_builder_matches_the_free_reference(mutant_id):
                 b_xi = _reordered(b, rng, duplicate)
                 assert b_xi.is_injective() != duplicate
                 assert builder.kappa(b_xi) == kappa(b_xi, inst)
-    terms = sorted(H.terms, key=GroundTerm.sort_key)
-    for g, h in itertools.product(terms, repeat=2):
-        t = NTuple.of({1: g, 2: h})
+    for t in _pair_tuples(sorted(H.terms, key=GroundTerm.sort_key)):
         assert base_tuple_for(t) == _reference_base_tuple(t)
         assert builder.alpha(t) == alpha_tilde(t, inst)
+
+
+@pytest.mark.parametrize("mutant_id", [None, "meet-incomparable-zero"],
+                         ids=lambda m: m or "Tab(a,b)")
+def test_shared_folds_do_not_depend_on_the_order_of_evaluation(mutant_id):
+    inst = _instance("ab", mutant_id)
+    forward, backward = RepresentationBuilder(inst), RepresentationBuilder(inst)
+    terms = sorted(forward.build_H().terms, key=GroundTerm.sort_key)
+    backward.build_H()
+    bases = list(dict.fromkeys(base_tuple_for(t) for t in _pair_tuples(terms)))
+    got = {b: forward.kappa(b) for b in bases}
+    got_back = {b: backward.kappa(b) for b in reversed(bases)}
+    for b in bases:
+        assert got[b] == got_back[b] == kappa(b, inst)
+
+
+def _build_H_per_candidate(builder) -> HSet:
+    """The admission loop that tests each (symbol, children) pair with
+    ``admissible``, kept as the reference for the indexed ``build_H``."""
+    strata, current, stratum_truncated = [frozenset()], set(), False
+    for _ in range(builder.caps.depth):
+        admitted = []
+        pool = sorted(current, key=GroundTerm.sort_key)
+        for v, n in builder.symbols:
+            for combo in itertools.permutations(pool, n):
+                term = GroundTerm(v, combo)
+                if term not in current and builder.admissible(v, combo):
+                    admitted.append(term)
+        admitted.sort(key=GroundTerm.sort_key)
+        room = builder.caps.max_terms_per_stratum - len(current)
+        if len(admitted) > room:
+            admitted, stratum_truncated = admitted[:room], True
+        current |= set(admitted)
+        strata.append(frozenset(current))
+    return HSet(strata, builder.symbols_truncated, stratum_truncated)
+
+
+_BUILD_H_CASES = [
+    pytest.param("a", None, RepCaps(depth=5, max_terms_per_stratum=120),
+                 id="Tab(a)-depth5-stratum120"),
+    pytest.param("ab", None, RepCaps(depth=3), id="Tab(a,b)-depth3"),
+    *(pytest.param(g, m, RepCaps(), id=f"{name}-{m}")
+      for g, name in (("a", "Tab(a)"), ("ab", "Tab(a,b)")) for m in sorted(MUTANTS)),
+]
+
+
+@pytest.mark.parametrize("ground, mutant_id, caps", _BUILD_H_CASES)
+def test_indexed_build_H_matches_the_per_candidate_loop(ground, mutant_id, caps):
+    inst = _instance(ground, mutant_id)
+    builder = RepresentationBuilder(inst, caps)
+    H = builder.build_H()
+    want = _build_H_per_candidate(RepresentationBuilder(inst, caps))
+    assert H == want
+    assert builder.terms == sorted(want.terms, key=GroundTerm.sort_key)
+
+
+def test_rep_membership_rechecks_with_admissible(monkeypatch):
+    calls = []
+    admissible = RepresentationBuilder.admissible
+
+    def counted(self, v, children):
+        calls.append((v, children))
+        return admissible(self, v, children)
+
+    monkeypatch.setattr(RepresentationBuilder, "admissible", counted)
+    builder = RepresentationBuilder(TableAlgebra({"a", "b"}))
+    builder.build_H()
+    assert not calls  # build_H admits through its index
+    report = next(r for r in harvested_checks(builder, SampleConfig())
+                  if r.check_id == "rep-membership")
+    assert report.passed
+    assert sorted(calls, key=lambda c: GroundTerm(*c).sort_key()) == [
+        (t.head, t.children) for t in builder.terms]
 
 
 #: prints the JSON of every rep-* report on Tab({a}) at depth 4, then the
