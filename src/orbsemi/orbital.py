@@ -234,7 +234,11 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
 
 def _shown(value):
     """A counterexample field: numbers and text as they are, variable sets
-    sorted, lists item by item and anything else by its repr."""
+    sorted, lists item by item and anything else by its repr.  An integer
+    beyond 2**53 is shown as its decimal text, which a JSON reader that
+    parses numbers as doubles would round."""
+    if isinstance(value, int) and abs(value) > 2**53:
+        return str(value)
     if isinstance(value, (int, str)):
         return value
     if isinstance(value, frozenset):

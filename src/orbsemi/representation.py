@@ -184,7 +184,8 @@ class RepresentationBuilder:
     one memo, so each distinct operation is computed once per builder; this
     relies on them being pure (see ``OrbitalInstance``).  ``kappa`` and
     ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo,
-    cached per argument."""
+    cached per argument; ``kappa``'s cache also holds the prefixes of each
+    fold, so base tuples that share a prefix share its meets."""
 
     def __init__(self, inst: OrbitalInstance, caps: RepCaps | None = None):
         self.inst = inst
@@ -192,8 +193,6 @@ class RepresentationBuilder:
         self._kappa_cache = {}
         self._alpha_cache = {}
         self._ops = {}  # (operation, *args) -> the instance's result
-        self._eta_inverses = {}  # term -> ((value, least variable of eta(term)), ...)
-        self._folds = {}  # (prefix node, term, *its variables in b) -> (node, fold value)
         self.symbols, self.symbols_truncated = self._enumerate_symbols()
         self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
 
@@ -212,39 +211,24 @@ class RepresentationBuilder:
             got = self._ops[key] = getattr(self.inst, name)(*args)
         return got
 
-    def _eta_inverse(self, term: GroundTerm) -> tuple:
-        got = self._eta_inverses.get(term)
-        if got is None:
-            inv = {a: x for x, a in reversed(eta(term).pairs)}  # least x last
-            got = self._eta_inverses[term] = tuple(inv.items())
-        return got
-
     def kappa(self, b: NTuple):
+        """The free ``kappa(b, inst)``, one recursion over ``_kappa_cache``:
+        κ(<>) = one, and κ(b) = κ(b restricted to rng(b) − {s}) ∧
+        s.head · (η(s)⁻ʳ ∘ b) for s the last term of rng(b) in term order.
+        A term's children sort before it, so the prefix of a subterm-closed b
+        is subterm-closed, no earlier step sees s, and the meets run in the
+        free fold's order.  The cache holds every prefix of b's fold."""
         got = self._kappa_cache.get(b)
         if got is None:
-            got = self._kappa_cache[b] = self._kappa(b)
+            if b.pairs:
+                rng = b.rng
+                last = max(rng, key=GroundTerm.sort_key)
+                step = self._op("act", last.head, _inverse_after(eta(last), b))
+                got = self._op("meet", self.kappa(astrict(b, rng - {last})), step)
+            else:
+                got = self._op("one")
+            self._kappa_cache[b] = got
         return got
-
-    def _kappa(self, b: NTuple):
-        """The free ``kappa(b, inst)`` as a walk down a trie of fold prefixes
-        (node 0 is the empty one).  A term's children sort before it, so the
-        fold over the first k terms of rng(b) depends only on those terms and
-        the variables b gives them; only an unseen step inverts b at the term
-        and calls the instance."""
-        at = {}  # term -> the variables b maps to it
-        for y, a in b.pairs:
-            at.setdefault(a, []).append(y)
-        node, out = 0, self._op("one")
-        for term in sorted(at, key=GroundTerm.sort_key):
-            key = (node, term, *at[term])
-            step = self._folds.get(key)
-            if step is None:
-                lam = sorted((y, x) for a, x in self._eta_inverse(term) for y in at.get(a, ()))
-                out = self._op("meet", out,
-                               self._op("act", term.head, FPTransform.trusted(tuple(lam))))
-                step = self._folds[key] = (len(self._folds) + 1, out)
-            node, out = step
-        return out
 
     def alpha(self, t: NTuple):
         got = self._alpha_cache.get(t)

@@ -1,6 +1,7 @@
 """The builder's memoized kappa and alpha against the free reference
-functions, its indexed build_H against the per-candidate admission loop, and
-harvested draws that do not depend on the hash seed."""
+functions, the fold prefixes that kappa's cache holds, its indexed build_H
+against the per-candidate admission loop, and harvested draws that do not
+depend on the hash seed."""
 
 import itertools
 import os
@@ -17,7 +18,7 @@ from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (GroundTerm, HSet, RepCaps, RepresentationBuilder,
                                      alpha_tilde, base_tuple_for, harvested_checks, kappa)
 from orbsemi.tables import TableAlgebra
-from orbsemi.transforms import FPTransform, compose
+from orbsemi.transforms import FPTransform, astrict, compose
 from orbsemi.tuples import NTuple
 
 SRC = Path(orbsemi.__file__).resolve().parent.parent
@@ -102,6 +103,27 @@ def test_shared_folds_do_not_depend_on_the_order_of_evaluation(mutant_id):
     got_back = {b: backward.kappa(b) for b in reversed(bases)}
     for b in bases:
         assert got[b] == got_back[b] == kappa(b, inst)
+
+
+@pytest.mark.parametrize("mutant_id", [None, "meet-incomparable-zero"],
+                         ids=lambda m: m or "Tab(a,b)")
+def test_kappa_caches_every_prefix_of_its_fold(mutant_id):
+    inst = _instance("ab", mutant_id)
+    builder = RepresentationBuilder(inst)
+    builder.build_H()
+    rng = random.Random(0)
+    bases = []
+    for b in builder.base_pool(rng):
+        bases.append(b)
+        if b.pairs:
+            bases.extend(_reordered(b, rng, duplicate) for duplicate in (False, True))
+    for b in bases:
+        builder._kappa_cache.clear()
+        builder.kappa(b)
+        ordered = sorted(b.rng, key=GroundTerm.sort_key)
+        for k in range(len(ordered) + 1):
+            prefix = astrict(b, frozenset(ordered[:k]))
+            assert builder._kappa_cache[prefix] == kappa(prefix, inst)
 
 
 def _build_H_per_candidate(builder) -> HSet:

@@ -1,4 +1,4 @@
-"""README's examples stay runnable.
+"""README's examples stay runnable, and its list of builder caches current.
 
 The python block of "Library tour" is executed as written, and each command
 of the CLI block runs through ``cli.main`` in a directory holding the
@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from orbsemi.cli import main
+from orbsemi.representation import RepresentationBuilder
+from orbsemi.tables import TableAlgebra
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -47,3 +49,15 @@ def test_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == want
     captured = capsys.readouterr()
     assert captured.out and not captured.err
+
+
+def test_readme_names_every_builder_cache():
+    section = README.split("\n### Representation and depth truncation\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    documented = re.findall(r"^- `(_\w+)`", section, re.M)
+    builder = RepresentationBuilder(TableAlgebra({"a"}))
+    builder.build_H()
+    # the symbols' print names are a dict too, but not a cache
+    caches = [name for name, value in vars(builder).items()
+              if isinstance(value, dict) and name != "_symbol_names"]
+    assert sorted(documented) == sorted(caches)

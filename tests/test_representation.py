@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -6,24 +7,26 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from orbsemi.mutants import MutantAlgebra
+from orbsemi.mutants import MutantAlgebra, make_mutant
 from orbsemi.orbital import ELEMENT_BUDGET, SampleConfig
 from orbsemi.representation import (
     GroundTerm,
     RepCaps,
     RepresentationBuilder,
+    _arranged,
     alpha_tilde,
     arity,
     base_tuple_for,
     build_H,
     eta,
+    harvested_checks,
     is_base_tuple,
     kappa,
     represent,
     subterm_closure,
 )
 from orbsemi.tables import Table, TableAlgebra, all_rows
-from orbsemi.transforms import astrict
+from orbsemi.transforms import FPTransform, astrict
 from orbsemi.tuples import NTuple, atom_key, merge
 
 
@@ -258,6 +261,21 @@ def test_pipeline_reports_an_empty_H(alg):
                           "stratum_truncated", "terms", "quotient_classes",
                           "fragment_classes", "reachable_count", "coverage", "error",
                           "checks", "status"]
+
+
+def test_counterexample_bits_survive_a_double_based_json_reader(alg):
+    builder = RepresentationBuilder(make_mutant("act-trim-map", alg))
+    builder.build_H()
+    report = next(r for r in harvested_checks(builder, SampleConfig())
+                  if r.check_id == "rep-kappa-reorder")
+    assert not report.passed
+    shown = json.loads(json.dumps(report.to_json()), parse_int=float)["counterexample"]
+    assert len(shown["bits"]) == 77
+    # the shown bits pick the shown xi again
+    n = shown["xi"].count("->")
+    order = _arranged(range(1, 2 * n + 2), int(shown["bits"]))
+    xi = FPTransform.of(dict(zip(sorted(order[:n]), [x for x in order if x <= n])))
+    assert repr(xi) == shown["xi"]
 
 
 # ---------------------------------------------------------------------------
