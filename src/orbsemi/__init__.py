@@ -45,7 +45,6 @@ from .orbital import (
 from .mutants import MUTANTS, TARGETS, make_mutant
 from .labeling import (
     Labeling,
-    QuotientError,
     check_embedding,
     check_labeling,
     check_law,

@@ -13,12 +13,19 @@ instance.  A quasi-labeling satisfies L1-L3, a full labeling additionally L4:
 L3's existential is decided by exhaustive witness search over G^{dom(v)};
 a fixed cap keeps the search bounded, and cap hits are reported
 separately from failures.
+
+The quotient divides the ground atoms by g ~ h iff alpha(<x1:g, x2:h>) ≤ d_12.
+It builds the classes and then reports, as two laws, that ~ is an
+equivalence and that alpha is constant on classes; a labeling that breaks
+either gets failing reports, never an exception.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 from .orbital import (ELEMENT_BUDGET, WITNESS_CAP, CheckReport, OrbitalInstance,
                       SampleConfig, _run_check)
@@ -26,10 +33,6 @@ from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
 from .tuples import NTuple, act, atom_key, merge
-
-
-class QuotientError(ValueError):
-    """The input violated a quasi-labeling law during quotient construction."""
 
 
 class Labeling:
@@ -63,13 +66,12 @@ def singleton_labeling(algebra: TableAlgebra) -> Labeling:
 
 
 def extent(alpha: Labeling, u) -> Table:
-    """All tuples whose label lies below u, with matching domain."""
+    """All tuples whose label lies below u, with matching domain: none when
+    dom(u) is ALL, as for the bottom element, since no tuple is that wide."""
     inst = alpha.inst
-    if u == inst.zero():
-        return bottom(alpha.ground)
     du = inst.dom(u)
     if schema_is_all(du):
-        raise ValueError("extent needs a finite domain (or the bottom element)")
+        return bottom(alpha.ground)
     rows = [
         t for t in all_rows(alpha.ground, du)
         if inst.dom(alpha(t)) == du and inst.leq(alpha(t), u)
@@ -85,7 +87,7 @@ class _Laws:
 
     def __init__(self, alpha: Labeling, cfg: SampleConfig, tuple_atoms, elements):
         self.alpha, self.inst = alpha, alpha.inst
-        self.window = sorted(cfg.window)
+        self.window = cfg.window
         self.atoms = sorted(alpha.ground, key=atom_key)
         self.t_atoms = self.atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
         self.elements = elements
@@ -106,7 +108,7 @@ class _Laws:
         """The tuples that ``t`` walks, over the tuple atoms: exhaustive over
         two-variable schemas inside the window (when affordable), sampled
         beyond."""
-        window, atoms = sorted(cfg.window), self.t_atoms
+        window, atoms = cfg.window, self.t_atoms
         tuples = [NTuple(())]
         small = [X for X in subsets(window) if 1 <= len(X) <= 2]
         if sum(len(atoms) ** len(X) for X in small) <= 4 * ELEMENT_BUDGET:
@@ -257,19 +259,30 @@ def check_embedding(alpha: Labeling, cfg: SampleConfig, elements=None) -> list:
     return [check_law(alpha, law, cfg, elements=elements) for law in EMBEDDING_IDS]
 
 
-#: exchange-property spot checks that ``quotient`` draws
-_SPOT_CHECKS = 200
+def _quotient_equivalence(ctx, term):
+    # ~ is an equivalence iff each R(g) is exactly the class built for it; it
+    # fails at (g, h) for h in R(g) Δ members[R(g)]
+    cls = ctx.related[term]
+    wrong = cls.symmetric_difference(ctx.members[cls])
+    return not wrong, lambda: {"h": next(h for h in ctx.terms if h in wrong)}
 
 
-def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
+def _quotient_exchange(ctx, tt):
+    rep = NTuple.trusted(tuple((x, ctx.rep_of[a]) for x, a in tt.pairs))
+    lhs, rhs = ctx.alpha(tt), ctx.alpha(rep)
+    return lhs == rhs, lambda: {"rep∘tt": rep, "alpha(tt)": lhs, "alpha(rep∘tt)": rhs}
+
+
+def quotient(alpha: Labeling, cfg: SampleConfig):
     """Collapse ground atoms whose two-column label sits below the diagonal.
 
     Returns the map from each atom to its class representative (the least
-    member in atom order) and the induced labeling over the representatives.
-    Raises QuotientError if the computed relation is not an equivalence or
-    violates the exchange property (both only possible when alpha was not a
-    quasi-labeling).  The exchange spot checks draw tuples over the variables
-    in ``window``.
+    member in atom order), the induced labeling over the representatives and
+    the reports of two laws, which can fail only when alpha is not a
+    quasi-labeling: ``quotient-equivalence`` checks at every atom that the
+    relation is an equivalence, and ``quotient-exchange`` that alpha keeps its
+    value on tuples over the window when each atom becomes its
+    representative.  It never raises on a bad labeling.
     """
     inst = alpha.inst
     atoms = sorted(alpha.ground, key=atom_key)
@@ -280,25 +293,11 @@ def quotient(alpha: Labeling, seed: int = 0, window=(1, 2, 3)):
     members = {}  # class -> its atoms, in atom order
     for a in atoms:
         members.setdefault(related[a], []).append(a)
-    # an equivalence fails at (g, h) exactly for h in R(g) Δ members[R(g)];
-    # the classes come in the order of their least atoms
-    for cls, group in members.items():
-        wrong = cls.symmetric_difference(group)
-        if wrong:
-            h = next(h for h in atoms if h in wrong)
-            raise QuotientError(
-                f"relation is not an equivalence at ({group[0]}, {h}); "
-                "input was not a quasi-labeling")
-
-    rng = random.Random(seed)
-    for _ in range(_SPOT_CHECKS):
-        X = [x for x in window if rng.random() < 0.7]
-        s = NTuple.of({x: rng.choice(atoms) for x in X})
-        t = NTuple.of({x: rng.choice(members[related[s(x)]]) for x in X})
-        if alpha(s) != alpha(t):
-            raise QuotientError(
-                f"exchange property violated on {s} vs {t}; "
-                "input was not a quasi-labeling")
-
     rep_of = {a: members[related[a]][0] for a in atoms}
-    return rep_of, Labeling(rep_of.values(), inst, alpha)
+    ctx = SimpleNamespace(terms=atoms, alpha=alpha, related=related, members=members,
+                          rep_of=rep_of)
+    reports = [
+        _run_check(ctx, "quotient-equivalence", _quotient_equivalence, replace(cfg, cases=1)),
+        _run_check(ctx, "quotient-exchange", _quotient_exchange, cfg),
+    ]
+    return rep_of, Labeling(rep_of.values(), inst, alpha), reports

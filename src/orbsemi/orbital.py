@@ -58,8 +58,9 @@ class SampleConfig:
             raise ValueError("cases must be >= 1")
 
     @property
-    def window(self) -> frozenset:
-        return frozenset(range(1, self.var_window + 1))
+    def window(self) -> tuple:
+        """The variables x1 .. x_{var_window}, in order."""
+        return tuple(range(1, self.var_window + 1))
 
 
 @dataclass
@@ -159,7 +160,7 @@ def e_diag(inst: OrbitalInstance, delta: FPTransform):
 
 
 def _transform_pool(cfg: SampleConfig, rng: random.Random) -> list:
-    window = sorted(cfg.window)
+    window = cfg.window
     total = (len(window) + 1) ** len(window)
     if total <= TRANSFORM_BUDGET:
         return list(all_transforms(window, window))
@@ -177,7 +178,7 @@ def _random_transform(rng: random.Random, window) -> FPTransform:
     return FPTransform.of(out)
 
 
-def _random_folding(rng: random.Random, window: list) -> FPTransform:
+def _random_folding(rng: random.Random, window: tuple) -> FPTransform:
     """A folding on the sorted window: identity on a retract R, everything
     else in df mapped into R."""
     retract = [x for x in window if rng.random() < 0.5]
@@ -190,16 +191,16 @@ def _random_folding(rng: random.Random, window: list) -> FPTransform:
     return FPTransform.of(out)
 
 
-def _random_injection(rng: random.Random, window: list) -> FPTransform:
+def _random_injection(rng: random.Random, window: tuple) -> FPTransform:
     if rng.random() < 0.5:
-        srcs = list(window)  # full permutation keeps the range condition easy to hit
+        srcs = window  # full permutation keeps the range condition easy to hit
     else:
         srcs = [x for x in window if rng.random() < 0.7]
     tgts = rng.sample(window, len(srcs))
     return FPTransform.of(dict(zip(srcs, tgts)))
 
 
-def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuples=(),
+def _domains(rng: random.Random, window: tuple, elements=(), transforms=(), tuples=(),
              bases=(), terms=()) -> dict:
     """Each variable a check may quantify over, and how its value in case
     ``i`` is drawn.  ``u``, ``t``, ``b`` and ``term`` run through the
@@ -228,7 +229,7 @@ def _domains(rng: random.Random, window: list, elements=(), transforms=(), tuple
         "ks": lambda _: [rng.getrandbits(32) for _ in range(rng.randint(1, 3))],
         "inj": lambda _: _random_injection(rng, window),
         "delta": lambda _: _random_folding(rng, window),
-        "window": lambda _: window,
+        "window": lambda _: list(window),  # a list, as a counterexample shows it
     }
 
 
@@ -544,7 +545,7 @@ def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
     terms = ctx.terms if {"term", "tt"}.intersection(names) else ()
     elements = ctx.element_pool(cfg, rng) if {"u", "v", "vs"}.intersection(names) else ()
     transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
-    domains = _domains(rng, sorted(cfg.window), elements, transforms, tuples, bases, terms)
+    domains = _domains(rng, cfg.window, elements, transforms, tuples, bases, terms)
     draws = [(name, domains[name]) for name in names]
     walked = tuples or bases or terms or elements
     report = CheckReport(check_id=check_id, seed=cfg.seed)

@@ -560,7 +560,8 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     alpha = Labeling(H.terms, inst, builder.alpha)
     report.checks.extend(_labeling_checks(alpha, "quasi", cfg, frag_terms))
 
-    rep_of, alpha_bar = quotient(alpha, seed=cfg.seed, window=sorted(cfg.window))
+    rep_of, alpha_bar, quotient_checks = quotient(alpha, cfg)
+    report.checks.extend(quotient_checks)
     report.quotient_classes = len(alpha_bar.ground)
     # class representatives are minimal in the depth-first term order, so
     # fragment-term classes are represented by fragment-depth terms

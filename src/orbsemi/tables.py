@@ -291,13 +291,12 @@ class TableAlgebra(OrbitalInstance):
         # so it is built once per window
         core = self._pool_cores.get(cfg.window)
         if core is None:
-            small = [X for X in subsets(sorted(cfg.window)) if len(X) <= 2]
+            small = [X for X in subsets(cfg.window) if len(X) <= 2]
             tables = enumerate_tables(self.ground, small)
             core = self._pool_cores[cfg.window] = (tables, frozenset(tables))
         pool, seen = list(core[0]), set(core[1])
-        window = sorted(cfg.window)
         for _ in range(ELEMENT_BUDGET):
-            X = [x for x in window if rng.random() < 0.6]
+            X = [x for x in cfg.window if rng.random() < 0.6]
             if len(X) <= 2:
                 continue
             universe = list(all_rows(self.ground, X))

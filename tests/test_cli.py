@@ -253,6 +253,8 @@ rep-extension-witness: PASS (1/1 applicable cases)
 quasi/L1: PASS (200/200 applicable cases)
 quasi/L2: PASS (200/200 applicable cases)
 quasi/L3: PASS (175/200 applicable cases)
+quotient-equivalence: PASS (1/1 applicable cases)
+quotient-exchange: PASS (200/200 applicable cases)
 full/L1: PASS (200/200 applicable cases)
 full/L2: PASS (200/200 applicable cases)
 full/L3: PASS (175/200 applicable cases)

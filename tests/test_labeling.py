@@ -5,7 +5,6 @@ from orbsemi.labeling import (
     EMBEDDING_IDS,
     LEVELS,
     Labeling,
-    QuotientError,
     check_embedding,
     check_labeling,
     check_law,
@@ -65,6 +64,14 @@ def test_extent_of_bottom_is_bottom_for_any_labeling(alg):
     assert extent(constant_zero, alg.zero()) == alg.zero()
 
 
+def test_extent_of_an_element_whose_domain_is_all_is_empty(alg):
+    # under dom-top-all, dom(1) = ALL although 1 is not the bottom element; no
+    # tuple has every variable, so no tuple lies in its extent
+    inst = make_mutant("dom-top-all", alg)
+    assert inst.one() != inst.zero()
+    assert extent(singleton_labeling(inst), inst.one()) == alg.zero()
+
+
 def extent_act_inclusion(alpha: Labeling, u, lam) -> bool:
     """The unconditional inclusion ext(u)·lam ⊆ ext(u·lam) (holds for any
     labeling, surjective or not)."""
@@ -92,10 +99,22 @@ def test_embedding_elements_override(alpha, alg):
     assert all(r.passed for r in reports)
 
 
+#: 200 exchange cases, as `embed` runs by default
+QUOTIENT_CFG = SampleConfig(cases=200)
+
+
+def _quotient_failures(reports):
+    """The ids of the failing quotient reports, after checking both ran."""
+    assert [r.check_id for r in reports] == ["quotient-equivalence", "quotient-exchange"]
+    return [r.check_id for r in reports if not r.passed]
+
+
 def test_quotient_of_singleton_is_discrete(alpha):
-    rep_of, alpha_bar = quotient(alpha)
+    rep_of, alpha_bar, reports = quotient(alpha, QUOTIENT_CFG)
     assert alpha_bar.ground == G
     assert rep_of == {"a": "a", "b": "b"}
+    assert _quotient_failures(reports) == []
+    assert not any(r.vacuous for r in reports)
 
 
 def test_quotient_merges_equal_behavior(alg):
@@ -108,14 +127,15 @@ def test_quotient_merges_equal_behavior(alg):
         return Table.from_rows(G3, {collapsed})
 
     alpha = Labeling(G3, alg3, label)
-    rep_of, alpha_bar = quotient(alpha)
+    rep_of, alpha_bar, reports = quotient(alpha, QUOTIENT_CFG)
     assert rep_of == {"a": "a", "b": "b", "c": "b"}
     assert len(alpha_bar.ground) == 2
+    assert _quotient_failures(reports) == []
 
 
 def test_quotient_spot_checks_use_the_callers_window(alg):
     # b ~ c, and labels collapse c to b except on tuples that bind x4, so only
-    # exchange spot checks over a window containing x4 can see the violation
+    # the exchange law over a window containing x4 can see the violation
     G3 = frozenset({"a", "b", "c"})
     alg3 = TableAlgebra(G3)
 
@@ -126,10 +146,12 @@ def test_quotient_spot_checks_use_the_callers_window(alg):
         return Table.from_rows(G3, {collapsed})
 
     alpha = Labeling(G3, alg3, label)
-    rep_of, _ = quotient(alpha)
+    rep_of, _, reports = quotient(alpha, SampleConfig(var_window=3, cases=200))
     assert rep_of["b"] == rep_of["c"]
-    with pytest.raises(QuotientError):
-        quotient(alpha, window=(1, 2, 3, 4))
+    assert _quotient_failures(reports) == []
+    _, _, reports = quotient(alpha, SampleConfig(var_window=4, cases=200))
+    assert _quotient_failures(reports) == ["quotient-exchange"]
+    assert "x4:" in reports[1].counterexample["tt"]
 
 
 #: two-column tuples labelled with the diagonal (related) or with a table not
@@ -162,24 +184,24 @@ def _broken_labeling(case):
 
 @pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
 def test_quotient_rejects_non_equivalence(case):
-    with pytest.raises(QuotientError, match="not an equivalence"):
-        quotient(_broken_labeling(case))
+    _, _, reports = quotient(_broken_labeling(case), QUOTIENT_CFG)
+    assert "quotient-equivalence" in _quotient_failures(reports)
 
 
 #: the first failing pair (g, h) in atom order, as the all-pairs test named it
 _NON_EQUIVALENCE_AT = {
-    "asymmetric": "(a, b)",
-    "non-reflexive": "(a, a)",
-    "non-transitive": "(a, b)",
+    "asymmetric": ("a", "b"),
+    "non-reflexive": ("a", "a"),
+    "non-transitive": ("a", "b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN_RELATIONS))
 def test_quotient_names_the_first_failing_pair(case):
-    with pytest.raises(QuotientError) as err:
-        quotient(_broken_labeling(case))
-    assert str(err.value) == (f"relation is not an equivalence at {_NON_EQUIVALENCE_AT[case]}; "
-                              "input was not a quasi-labeling")
+    _, _, reports = quotient(_broken_labeling(case), QUOTIENT_CFG)
+    found = reports[0].counterexample
+    assert (reports[0].check_id, reports[0].passed) == ("quotient-equivalence", False)
+    assert (found["term"], found["h"]) == _NON_EQUIVALENCE_AT[case]
 
 
 def test_quotient_rejects_exchange_violation(alg):
@@ -194,8 +216,8 @@ def test_quotient_rejects_exchange_violation(alg):
         return Table.from_rows(G3, {t})
 
     alpha = Labeling(G3, alg3, broken)
-    with pytest.raises(QuotientError):
-        quotient(alpha)
+    _, _, reports = quotient(alpha, QUOTIENT_CFG)
+    assert _quotient_failures(reports) == ["quotient-exchange"]
 
 
 @pytest.mark.parametrize("level, law_id", [*((level, law_id) for level, ids in LEVELS.items()

@@ -40,7 +40,7 @@ def test_sample_config_validation():
         SampleConfig(var_window=1)
     with pytest.raises(ValueError, match="cases must be >= 1"):
         SampleConfig(cases=0)
-    assert SampleConfig(var_window=3).window == {1, 2, 3}
+    assert SampleConfig(var_window=3).window == (1, 2, 3)  # in order
 
 
 def test_axioms_pass_on_tab(alg):
@@ -94,8 +94,9 @@ def test_transform_pool_sampled_for_window_four():
     pool = _transform_pool(cfg, random.Random(0))
     assert len(set(pool)) == len(pool) == TRANSFORM_BUDGET  # a repeat re-runs cases
     assert pool[:2] == [EMPTY, partial_identity({1, 2, 3, 4})]
+    window = frozenset(cfg.window)
     for lam in pool:
-        assert lam.df <= cfg.window and lam.rng <= cfg.window
+        assert lam.df <= window and lam.rng <= window
     assert _transform_pool(cfg, random.Random(0)) == pool
     assert _transform_pool(cfg, random.Random(1)) != pool
 

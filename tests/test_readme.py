@@ -1,4 +1,5 @@
-"""README's examples stay runnable, and its list of builder caches current.
+"""README's examples stay runnable, and its lists of builder caches and of
+check ids current.
 
 The python block of "Library tour" is executed as written, and each command
 of the CLI block runs through ``cli.main`` in a directory holding the
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from orbsemi.cli import main
-from orbsemi.representation import RepresentationBuilder
+from orbsemi.orbital import AXIOM_IDS, DERIVED_IDS, SampleConfig
+from orbsemi.representation import RepresentationBuilder, represent
 from orbsemi.tables import TableAlgebra
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -61,3 +63,17 @@ def test_readme_names_every_builder_cache():
     caches = [name for name, value in vars(builder).items()
               if isinstance(value, dict) and name != "_symbol_names"]
     assert sorted(documented) == sorted(caches)
+
+
+def test_readme_names_every_check_id():
+    # every id that a report can carry: the axioms, the derived properties and
+    # whatever ``represent`` reports (rep-*, L1-L4, quotient-*, emb-*), with
+    # the quasi/ and full/ level prefixes taken off
+    section = README.split("\n### Check identifiers\n", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"`([\w-]+)`", section))
+    for prefix, lo, hi in re.findall(r"`([A-Z])(\d+)`-`\1(\d+)`", section):
+        documented.update(f"{prefix}{i}" for i in range(int(lo), int(hi) + 1))
+    report = represent(TableAlgebra({"a"}), SampleConfig(cases=20))
+    ids = {c.check_id.rpartition("/")[2] for c in report.checks}
+    assert {"rep-membership", "L4", "quotient-exchange", "emb-bounds"} <= ids
+    assert set(AXIOM_IDS) | set(DERIVED_IDS) | ids <= documented
