@@ -54,13 +54,11 @@ from .labeling import (
 )
 from .representation import (
     GroundTerm,
-    HSet,
     RepCaps,
     RepresentationBuilder,
     alpha_tilde,
     arity,
     base_tuple_for,
-    build_H,
     eta,
     kappa,
     represent,

@@ -533,10 +533,11 @@ def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
     (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the transformation
     pool for ``lam`` or ``mu``; ``term`` and ``tt`` draw from ``ctx.terms``.
     The check walks the first of its tuple, base-tuple, term and element
-    pools, and runs max(``cfg.cases``, walked pool size) cases; one case
-    when the body declares no variable.  It stops at the first failure and
-    only then calls ``detail()``.  A counterexample lists the drawn values,
-    then the body's extra fields, then ``case_index``."""
+    pools (``tt`` samples, so it walks none), and runs max(``cfg.cases``,
+    walked pool size) cases; one case when the body declares no variable.
+    It stops at the first failure and only then calls ``detail()``.  A
+    counterexample lists the drawn values, then the body's extra fields,
+    then ``case_index``."""
     code = body.__code__
     names = code.co_varnames[1:code.co_argcount]
     rng = random.Random(cfg.seed)
@@ -547,7 +548,7 @@ def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
     transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
     domains = _domains(rng, cfg.window, elements, transforms, tuples, bases, terms)
     draws = [(name, domains[name]) for name in names]
-    walked = tuples or bases or terms or elements
+    walked = tuples or bases or (terms if "term" in names else ()) or elements
     report = CheckReport(check_id=check_id, seed=cfg.seed)
     for i in range(max(cfg.cases, len(walked)) if draws else 1):
         case = {name: draw(i) for name, draw in draws}

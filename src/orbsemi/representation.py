@@ -19,7 +19,7 @@ from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _run_check
 from .tables import all_rows
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
-from .tuples import NTuple, atom_key, merge
+from .tuples import NTuple, merge
 
 
 class GroundTerm:
@@ -163,19 +163,6 @@ class RepCaps:
             raise ValueError("caps must be >= 1")
 
 
-@dataclass
-class HSet:
-    """Strata H^(0) ⊆ H^(1) ⊆ ... of admissible terms, with truncation flags."""
-
-    strata: list
-    symbols_truncated: bool = False
-    stratum_truncated: bool = False
-
-    @property
-    def terms(self) -> frozenset:
-        return self.strata[-1] if self.strata else frozenset()
-
-
 class RepresentationBuilder:
     """Stateful driver: signature enumeration, memoized evaluation maps, and
     the stratified fixpoint loop for H.
@@ -253,8 +240,10 @@ class RepresentationBuilder:
         rhs = self.alpha(NTuple.of({i + 1: c for i, c in enumerate(children)}))
         return lhs == rhs
 
-    def build_H(self) -> HSet:
-        """The strata of H up to ``caps.depth``: each adds the new terms over
+    def build_H(self) -> None:
+        """Build the strata of H up to ``caps.depth`` into ``strata``
+        (H^(0) = ∅ ⊆ H^(1) ⊆ ...), with ``stratum_truncated``, and H's terms
+        in term order into ``terms``.  Each stratum adds the new terms over
         the last that ``admissible`` would accept.  The symbols of each arity
         n are indexed by v·π_{x1..xn}, so a combination of children costs one
         alpha and one lookup.  Also builds ``base_pool``'s fixed head."""
@@ -282,12 +271,10 @@ class RepresentationBuilder:
                 stratum_truncated = True
             current = set(current) | set(admitted)
             strata.append(frozenset(current))
-        self.H = HSet(strata=strata, symbols_truncated=self.symbols_truncated,
-                      stratum_truncated=stratum_truncated)
+        self.strata, self.stratum_truncated = strata, stratum_truncated
         self.terms = sorted(current, key=GroundTerm.sort_key)
         self._base_head = dict.fromkeys(
             [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in self.terms])
-        return self.H
 
     def base_pool(self, rng: random.Random) -> list:
         """Base tuples over H: the empty tuple, the closure of each term in
@@ -310,13 +297,8 @@ class RepresentationBuilder:
         """Independent re-check of admission: children in H, pairwise distinct,
         head domain an initial segment, and the admission equation."""
         cs = term.children
-        return (len(set(cs)) == len(cs) and all(c in self.H.terms for c in cs)
+        return (len(set(cs)) == len(cs) and all(c in self.strata[-1] for c in cs)
                 and arity(self.inst, term.head) == len(cs) and self.admissible(term.head, cs))
-
-
-def build_H(inst: OrbitalInstance, depth: int = 2, caps: RepCaps | None = None) -> HSet:
-    caps = RepCaps(depth=depth) if caps is None else replace(caps, depth=depth)
-    return RepresentationBuilder(inst, caps).build_H()
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +449,9 @@ _REPRESENTATION = {
 def harvested_checks(builder: RepresentationBuilder, cfg: SampleConfig) -> list:
     """The property suite over the terms and base tuples of the builder's H
     (``build_H`` must have run, with H nonempty).  Each law runs on its own
-    stream, one case per value of the pool it walks."""
-    cfg = replace(cfg, cases=1)
+    stream at ``cases`` = |H|: one case per value of the pool it walks, and
+    |H| cases of ``rep-extension-witness``, which walks none."""
+    cfg = replace(cfg, cases=len(builder.terms))
     return [_run_check(builder, check_id, body, cfg)
             for check_id, body in _REPRESENTATION.items()]
 
@@ -499,10 +482,6 @@ class PipelineReport:
                 "status": "pass" if self.passed else "fail"}
 
 
-#: tuple schemas with more label combinations than this are sampled, not enumerated
-_PAIR_CAP = 4096
-
-
 def _labeling_checks(alpha: Labeling, level: str, cfg: SampleConfig, atoms) -> list:
     """The labeling laws at ``level``, each id prefixed by the level (``quasi/L1``,
     ``full/L1``), so that the two runs keep apart in one report."""
@@ -512,21 +491,14 @@ def _labeling_checks(alpha: Labeling, level: str, cfg: SampleConfig, atoms) -> l
     return reports
 
 
-def _reachable_elements(alpha_bar: Labeling, rng: random.Random) -> list:
-    """Distinct label values over tuples with small domains, plus the bounds."""
-    inst = alpha_bar.inst
-    atoms = sorted(alpha_bar.ground, key=atom_key)
-    seen = {}
-    for u in (inst.zero(), inst.one()):
-        seen.setdefault(u, None)
+def _reachable_elements(alpha: Labeling) -> list:
+    """The bounds, then the distinct labels of the tuples over alpha's ground
+    with domain ∅, {x1} and {x1, x2}, in that order."""
+    inst = alpha.inst
+    seen = dict.fromkeys((inst.zero(), inst.one()))
     for X in (frozenset(), frozenset({1}), frozenset({1, 2})):
-        if len(atoms) ** len(X) > _PAIR_CAP:
-            tuples = (NTuple.of({x: rng.choice(atoms) for x in sorted(X)})
-                      for _ in range(_PAIR_CAP // 4))
-        else:
-            tuples = all_rows(atoms, X)
-        for t in tuples:
-            seen.setdefault(alpha_bar(t), None)
+        for t in all_rows(alpha.ground, X):
+            seen.setdefault(alpha(t), None)
     return list(seen)
 
 
@@ -535,15 +507,15 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     """build_H -> induced quasi-labeling -> quotient -> extent verification."""
     caps = caps or RepCaps()
     builder = RepresentationBuilder(inst, caps)
-    H = builder.build_H()
+    builder.build_H()
     report = PipelineReport(
-        strata_sizes=[len(s) for s in H.strata],
+        strata_sizes=[len(s) for s in builder.strata],
         symbol_count=len(builder.symbols),
-        symbols_truncated=H.symbols_truncated,
-        stratum_truncated=H.stratum_truncated,
+        symbols_truncated=builder.symbols_truncated,
+        stratum_truncated=builder.stratum_truncated,
         terms=[builder.format_term(t) for t in builder.terms],
     )
-    if not H.terms:
+    if not builder.terms:
         report.error = "H is empty (no constants in the signature)"
         return report
 
@@ -552,12 +524,10 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     # Witness-closed fragment: tuples draw atoms from the penultimate stratum,
     # so every L3-style witness (one stratum deeper) exists in the built H.
     # Checks on the truncated top stratum would report spurious failures.
-    if len(H.strata) >= 3 and H.strata[-2]:
-        frag_terms = H.strata[-2]
-    else:
-        frag_terms = H.terms
+    strata = builder.strata
+    frag_terms = strata[-2] if len(strata) >= 3 and strata[-2] else strata[-1]
 
-    alpha = Labeling(H.terms, inst, builder.alpha)
+    alpha = Labeling(strata[-1], inst, builder.alpha)
     report.checks.extend(_labeling_checks(alpha, "quasi", cfg, frag_terms))
 
     rep_of, alpha_bar, quotient_checks = quotient(alpha, cfg)
@@ -570,12 +540,11 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     report.checks.extend(_labeling_checks(alpha_bar, "full", cfg, frag_reps))
 
     alpha_frag = Labeling(frag_reps, inst, builder.alpha)
-    rng = random.Random(cfg.seed)
-    reachable = _reachable_elements(alpha_frag, rng)
+    reachable = _reachable_elements(alpha_frag)
     report.reachable_count = len(reachable)
     report.checks.extend(check_embedding(alpha_frag, cfg, elements=reachable))
 
-    pool = inst.element_pool(cfg, rng)
+    pool = inst.element_pool(cfg, random.Random(cfg.seed))
     reach = set(reachable)
     hit = sum(1 for u in pool if u in reach)
     report.coverage = hit / len(pool) if pool else 0.0

@@ -15,7 +15,7 @@ import pytest
 import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
 from orbsemi.orbital import SampleConfig
-from orbsemi.representation import (GroundTerm, HSet, RepCaps, RepresentationBuilder,
+from orbsemi.representation import (GroundTerm, RepCaps, RepresentationBuilder,
                                      alpha_tilde, base_tuple_for, harvested_checks, kappa)
 from orbsemi.tables import TableAlgebra
 from orbsemi.transforms import FPTransform, astrict, compose
@@ -76,8 +76,8 @@ _MEMO_CASES = [
 def test_builder_matches_the_free_reference(ground, mutant_id, caps):
     inst = _instance(ground, mutant_id)
     builder = RepresentationBuilder(inst, caps)
-    H = builder.build_H()
-    assert H.terms
+    builder.build_H()
+    assert builder.terms
     rng = random.Random(0)
     for b in builder.base_pool(rng):
         assert builder.kappa(b) == kappa(b, inst)
@@ -86,7 +86,7 @@ def test_builder_matches_the_free_reference(ground, mutant_id, caps):
                 b_xi = _reordered(b, rng, duplicate)
                 assert b_xi.is_injective() != duplicate
                 assert builder.kappa(b_xi) == kappa(b_xi, inst)
-    for t in _pair_tuples(sorted(H.terms, key=GroundTerm.sort_key)):
+    for t in _pair_tuples(builder.terms):
         assert base_tuple_for(t) == _reference_base_tuple(t)
         assert builder.alpha(t) == alpha_tilde(t, inst)
 
@@ -96,9 +96,9 @@ def test_builder_matches_the_free_reference(ground, mutant_id, caps):
 def test_shared_folds_do_not_depend_on_the_order_of_evaluation(mutant_id):
     inst = _instance("ab", mutant_id)
     forward, backward = RepresentationBuilder(inst), RepresentationBuilder(inst)
-    terms = sorted(forward.build_H().terms, key=GroundTerm.sort_key)
+    forward.build_H()
     backward.build_H()
-    bases = list(dict.fromkeys(base_tuple_for(t) for t in _pair_tuples(terms)))
+    bases = list(dict.fromkeys(base_tuple_for(t) for t in _pair_tuples(forward.terms)))
     got = {b: forward.kappa(b) for b in bases}
     got_back = {b: backward.kappa(b) for b in reversed(bases)}
     for b in bases:
@@ -126,9 +126,10 @@ def test_kappa_caches_every_prefix_of_its_fold(mutant_id):
             assert builder._kappa_cache[prefix] == kappa(prefix, inst)
 
 
-def _build_H_per_candidate(builder) -> HSet:
-    """The admission loop that tests each (symbol, children) pair with
-    ``admissible``, kept as the reference for the indexed ``build_H``."""
+def _build_H_per_candidate(builder) -> tuple:
+    """(strata, stratum_truncated) from the admission loop that tests each
+    (symbol, children) pair with ``admissible``, kept as the reference for
+    the indexed ``build_H``."""
     strata, current, stratum_truncated = [frozenset()], set(), False
     for _ in range(builder.caps.depth):
         admitted = []
@@ -144,7 +145,7 @@ def _build_H_per_candidate(builder) -> HSet:
             admitted, stratum_truncated = admitted[:room], True
         current |= set(admitted)
         strata.append(frozenset(current))
-    return HSet(strata, builder.symbols_truncated, stratum_truncated)
+    return strata, stratum_truncated
 
 
 _BUILD_H_CASES = [
@@ -160,10 +161,10 @@ _BUILD_H_CASES = [
 def test_indexed_build_H_matches_the_per_candidate_loop(ground, mutant_id, caps):
     inst = _instance(ground, mutant_id)
     builder = RepresentationBuilder(inst, caps)
-    H = builder.build_H()
+    builder.build_H()
     want = _build_H_per_candidate(RepresentationBuilder(inst, caps))
-    assert H == want
-    assert builder.terms == sorted(want.terms, key=GroundTerm.sort_key)
+    assert (builder.strata, builder.stratum_truncated) == want
+    assert builder.terms == sorted(want[0][-1], key=GroundTerm.sort_key)
 
 
 def test_rep_membership_rechecks_with_admissible(monkeypatch):

@@ -273,6 +273,16 @@ def test_embed_text_output(capsys):
     assert capsys.readouterr().out == EMBED_DEPTH1_TEXT
 
 
+def test_embed_runs_the_exchange_law_at_cases(capsys):
+    # tt samples every case, so quotient-exchange runs `cases` cases over the
+    # 45 terms of Tab({a,b}), and rep-extension-witness, run at cases = |H|,
+    # keeps one case per term
+    main(["embed", "--ground", "a,b", "--cases", "20", "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "quotient-exchange: PASS (20/20 applicable cases)" in lines
+    assert "rep-extension-witness: PASS (31/45 applicable cases)" in lines
+
+
 def test_embed_exits_3_when_a_check_is_vacuous(capsys):
     # rep-kappa-split finds no applicable case at depth 1; nothing fails
     assert main(["embed", "--ground", "a", "--depth", "1"]) == 3

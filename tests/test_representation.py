@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from orbsemi.labeling import singleton_labeling
 from orbsemi.mutants import MutantAlgebra, make_mutant
 from orbsemi.orbital import ELEMENT_BUDGET, SampleConfig
 from orbsemi.representation import (
@@ -14,10 +15,10 @@ from orbsemi.representation import (
     RepCaps,
     RepresentationBuilder,
     _arranged,
+    _reachable_elements,
     alpha_tilde,
     arity,
     base_tuple_for,
-    build_H,
     eta,
     harvested_checks,
     is_base_tuple,
@@ -38,6 +39,12 @@ def alg():
 @pytest.fixture(scope="module")
 def alg2():
     return TableAlgebra({"a", "b"})
+
+
+def built(inst, caps=None):
+    builder = RepresentationBuilder(inst, caps)
+    builder.build_H()
+    return builder
 
 
 def unary_const(alg, atom="a"):
@@ -74,7 +81,7 @@ def test_term_depth_and_order(alg):
 
 @pytest.fixture(scope="module")
 def terms2(alg2):
-    return build_H(alg2, depth=2).terms
+    return built(alg2, RepCaps(depth=2)).strata[-1]
 
 
 def test_atom_key_orders_terms_as_the_term_order(terms2):
@@ -123,9 +130,7 @@ def test_alpha_tilde_of_empty_tuple_is_one(alg):
 
 
 def test_alpha_tilde_base_independent(alg2):
-    builder = RepresentationBuilder(alg2)
-    H = builder.build_H()
-    terms = sorted(H.terms, key=GroundTerm.sort_key)[:6]
+    terms = built(alg2).terms[:6]
     for t in terms:
         tup = NTuple.of({2: t})
         b = base_tuple_for(tup)
@@ -135,7 +140,7 @@ def test_alpha_tilde_base_independent(alg2):
 
 
 def test_build_H_single_atom(alg):
-    H = build_H(alg, depth=2)
+    H = built(alg, RepCaps(depth=2))
     assert H.strata[0] == frozenset()
     assert len(H.strata[1]) == 1  # the single constant over {a}
     (c,) = H.strata[1]
@@ -145,16 +150,15 @@ def test_build_H_single_atom(alg):
 
 
 def test_build_H_constants_stratum(alg2):
-    H = build_H(alg2, depth=1)
+    H = built(alg2, RepCaps(depth=1))
     assert len(H.strata) == 2
     assert all(t.depth == 1 for t in H.terms)
     assert len(H.terms) == 3  # nonempty row subsets of the one-column space
 
 
 def test_admitted_terms_recheck(alg2):
-    builder = RepresentationBuilder(alg2)
-    H = builder.build_H()
-    for t in H.terms:
+    builder = built(alg2)
+    for t in builder.terms:
         assert builder.satisfies_membership_characterization(t)
 
 
@@ -201,16 +205,15 @@ def test_base_pool_has_one_base_per_term(ground, depth, size):
 
 
 def test_stratum_truncation_reported(alg2):
-    H = build_H(alg2, depth=2, caps=RepCaps(max_terms_per_stratum=10))
+    H = built(alg2, RepCaps(depth=2, max_terms_per_stratum=10))
     assert H.stratum_truncated
     assert len(H.terms) == 10
 
 
 def test_build_H_leaves_caller_caps_alone(alg2):
-    caps = RepCaps(max_terms_per_stratum=10)
-    H = build_H(alg2, depth=1, caps=caps)
-    assert len(H.strata) == 2
-    assert caps == RepCaps(max_terms_per_stratum=10)
+    caps = RepCaps(depth=1, max_terms_per_stratum=10)
+    assert len(built(alg2, caps).strata) == 2
+    assert caps == RepCaps(depth=1, max_terms_per_stratum=10)
 
 
 def test_caps_validation():
@@ -219,9 +222,8 @@ def test_caps_validation():
 
 
 def test_format_term(alg):
-    builder = RepresentationBuilder(alg)
-    H = builder.build_H()
-    names = sorted(builder.format_term(t) for t in H.terms)
+    builder = built(alg)
+    names = sorted(builder.format_term(t) for t in builder.terms)
     assert names[0] == "s0"
     assert "(" in names[1]
 
@@ -261,6 +263,15 @@ def test_pipeline_reports_an_empty_H(alg):
                           "stratum_truncated", "terms", "quotient_classes",
                           "fragment_classes", "reachable_count", "coverage", "error",
                           "checks", "status"]
+
+
+def test_reachable_elements_labels_every_pair_over_a_large_ground():
+    # the bounds, {<>} = one, the 65 singletons over {x1}, then every one of
+    # the 65² over {x1, x2}: none is sampled away
+    alg = TableAlgebra({f"g{i:02}" for i in range(65)})
+    got = _reachable_elements(singleton_labeling(alg))
+    assert got[:2] == [alg.zero(), alg.one()]
+    assert len(set(got)) == len(got) == 2 + 65 + 65 ** 2
 
 
 def test_counterexample_bits_survive_a_double_based_json_reader(alg):
