@@ -172,12 +172,18 @@ class RepresentationBuilder:
     relies on them being pure (see ``OrbitalInstance``).  ``kappa`` and
     ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo,
     cached per argument; ``kappa``'s cache also holds the prefixes of each
-    fold, so base tuples that share a prefix share its meets."""
+    fold, so base tuples that share a prefix share its meets.
+
+    ``build_H`` gives ``terms[i]`` the rank i and the closure mask
+    ``_masks[i]``, the int whose set bits are the ranks of its subterms, so
+    ``alpha`` takes a subterm-closed set of terms as one int and builds,
+    sorts and hashes no base tuple."""
 
     def __init__(self, inst: OrbitalInstance, caps: RepCaps | None = None):
         self.inst = inst
         self.caps = caps or RepCaps()
         self._kappa_cache = {}
+        self._mask_kappa_cache = {}
         self._alpha_cache = {}
         self._ops = {}  # (operation, *args) -> the instance's result
         self.symbols, self.symbols_truncated = self._enumerate_symbols()
@@ -217,10 +223,41 @@ class RepresentationBuilder:
             self._kappa_cache[b] = got
         return got
 
+    def _mask_kappa(self, mask: int):
+        """κ(b_M) for the base tuple b_M over the terms at the ranks in M,
+        the recursion of ``kappa`` with the same instance calls: κ(0) = one,
+        and κ(M) = κ(M without its top rank r) ∧ s.head · (η(s)⁻ʳ ∘ b_M)
+        for s = ``terms[r]``."""
+        got = self._mask_kappa_cache.get(mask)
+        if got is None:
+            if mask:
+                r = mask.bit_length() - 1
+                s = self.terms[r]
+                # η(s) is injective: the children of a term of H are distinct
+                lam = FPTransform.trusted(tuple(sorted(
+                    ((mask & ((1 << self._rank[c]) - 1)).bit_count() + 1, x)
+                    for x, c in enumerate((*s.children, s), start=1))))
+                step = self._op("act", s.head, lam)
+                got = self._op("meet", self._mask_kappa(mask ^ (1 << r)), step)
+            else:
+                got = self._op("one")
+            self._mask_kappa_cache[mask] = got
+        return got
+
     def alpha(self, t: NTuple):
+        """α(t) = κ(b_t)·(b_t⁻¹ ∘ t) for a tuple t over H, with M the union
+        of the closure masks of t's terms: t(y) of rank r sits in b_t at one
+        more than the number of ranks in M below r."""
         got = self._alpha_cache.get(t)
         if got is None:
-            got = self._alpha_cache[t] = self.eval_via(base_tuple_for(t), t)
+            ranks = [self._rank[a] for _, a in t.pairs]
+            mask = 0
+            for r in ranks:
+                mask |= self._masks[r]
+            lam = FPTransform.trusted(tuple(
+                (y, (mask & ((1 << r) - 1)).bit_count() + 1)
+                for (y, _), r in zip(t.pairs, ranks)))
+            got = self._alpha_cache[t] = self._op("act", self._mask_kappa(mask), lam)
         return got
 
     def eval_via(self, b: NTuple, t: NTuple):
@@ -243,36 +280,44 @@ class RepresentationBuilder:
     def build_H(self) -> None:
         """Build the strata of H up to ``caps.depth`` into ``strata``
         (H^(0) = ∅ ⊆ H^(1) ⊆ ...), with ``stratum_truncated``, and H's terms
-        in term order into ``terms``.  Each stratum adds the new terms over
+        in term order into ``terms``, with the rank of each in ``_rank`` and
+        its closure mask in ``_masks``.  Each stratum adds the new terms over
         the last that ``admissible`` would accept.  The symbols of each arity
         n are indexed by v·π_{x1..xn}, so a combination of children costs one
-        alpha and one lookup.  Also builds ``base_pool``'s fixed head."""
+        alpha and one lookup.  Also builds ``base_pool``'s fixed head.
+        Appending each stratum's new terms in term order keeps ``terms`` in
+        term order: a term admitted at stratum k has depth k, since one of its
+        children is new at k - 1 (else a cut at k - 1 left no room)."""
         heads = {}  # n -> {v·π_{x1..xn}: the symbols v of arity n with it}
         for v, n in self.symbols:
             lhs = self._op("act", v, partial_identity(range(1, n + 1)))
             heads.setdefault(n, {}).setdefault(lhs, []).append(v)
+        self.terms, self._rank, self._masks = [], {}, []
         strata = [frozenset()]
         stratum_truncated = False
-        current = set()
         for _ in range(self.caps.depth):
             admitted = []
-            pool = sorted(current, key=GroundTerm.sort_key)
             for n, by_lhs in heads.items():
-                for combo in itertools.permutations(pool, n):
+                for combo in itertools.permutations(self.terms, n):
                     rhs = self.alpha(NTuple.trusted(tuple(enumerate(combo, start=1))))
                     for v in by_lhs.get(rhs, ()):
                         term = GroundTerm(v, combo)
-                        if term not in current:
+                        if term not in self._rank:
                             admitted.append(term)
             admitted.sort(key=GroundTerm.sort_key)
-            room = self.caps.max_terms_per_stratum - len(current)
+            room = self.caps.max_terms_per_stratum - len(self.terms)
             if len(admitted) > room:
                 admitted = admitted[:room]
                 stratum_truncated = True
-            current = set(current) | set(admitted)
-            strata.append(frozenset(current))
+            for term in admitted:
+                rank = self._rank[term] = len(self.terms)
+                mask = 1 << rank
+                for c in term.children:
+                    mask |= self._masks[self._rank[c]]
+                self._masks.append(mask)
+                self.terms.append(term)
+            strata.append(frozenset(self.terms))
         self.strata, self.stratum_truncated = strata, stratum_truncated
-        self.terms = sorted(current, key=GroundTerm.sort_key)
         self._base_head = dict.fromkeys(
             [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in self.terms])
 

@@ -1,7 +1,8 @@
 """The builder's memoized kappa and alpha against the free reference
 functions, the fold prefixes that kappa's cache holds, its indexed build_H
-against the per-candidate admission loop, and harvested draws that do not
-depend on the hash seed."""
+against the per-candidate admission loop, the ranks and closure masks that
+build_H gives H's terms, and harvested draws that do not depend on the hash
+seed."""
 
 import itertools
 import os
@@ -18,7 +19,7 @@ from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (GroundTerm, RepCaps, RepresentationBuilder,
                                      alpha_tilde, base_tuple_for, harvested_checks, kappa)
 from orbsemi.tables import TableAlgebra
-from orbsemi.transforms import FPTransform, astrict, compose
+from orbsemi.transforms import FPTransform, astrict, compose, partial_identity
 from orbsemi.tuples import NTuple
 
 SRC = Path(orbsemi.__file__).resolve().parent.parent
@@ -61,11 +62,26 @@ def _pair_tuples(terms):
     return [NTuple.of({1: g, 2: h}) for g, h in itertools.product(terms, repeat=2)]
 
 
-#: Tab(G) at depth 2 and with deep shared fold prefixes, and every mutant at
+def _odd_tuples(terms, rng):
+    """The empty tuple, <x3:g, x5:g> for each term g (gapped variables and a
+    repeated term), and 50 seeded tuples of width 3 on variables drawn from
+    x1 .. x6, whose terms may repeat."""
+    yield NTuple(())
+    for g in terms:
+        yield NTuple.of({3: g, 5: g})
+    for _ in range(50):
+        xs = sorted(rng.sample(range(1, 7), 3))
+        yield NTuple.of(dict(zip(xs, rng.choices(terms, k=3))))
+
+
+#: Tab(G) at depth 2 and with deep shared fold prefixes (the 120 terms up to
+#: depth 5 are the stratum-cut run of the benchmark), and every mutant at
 #: depth 2, whose meet may not commute, which pins the fold order
 _MEMO_CASES = [
     pytest.param("ab", None, RepCaps(), id="Tab(a,b)"),
     pytest.param("a", None, RepCaps(depth=4), id="Tab(a)-depth4"),
+    pytest.param("a", None, RepCaps(depth=5, max_terms_per_stratum=120),
+                 id="Tab(a)-depth5-stratum120"),
     pytest.param("ab", None, RepCaps(max_symbols=300), id="Tab(a,b)-symbols300"),
     *(pytest.param("ab", m, RepCaps(), id=m) for m in sorted(MUTANTS)),
     *(pytest.param("a", m, RepCaps(), id=f"Tab(a)-{m}") for m in sorted(MUTANTS)),
@@ -88,6 +104,8 @@ def test_builder_matches_the_free_reference(ground, mutant_id, caps):
                 assert builder.kappa(b_xi) == kappa(b_xi, inst)
     for t in _pair_tuples(builder.terms):
         assert base_tuple_for(t) == _reference_base_tuple(t)
+        assert builder.alpha(t) == alpha_tilde(t, inst)
+    for t in _odd_tuples(builder.terms, rng):
         assert builder.alpha(t) == alpha_tilde(t, inst)
 
 
@@ -127,17 +145,19 @@ def test_kappa_caches_every_prefix_of_its_fold(mutant_id):
 
 
 def _build_H_per_candidate(builder) -> tuple:
-    """(strata, stratum_truncated) from the admission loop that tests each
-    (symbol, children) pair with ``admissible``, kept as the reference for
-    the indexed ``build_H``."""
+    """(strata, stratum_truncated) from the admission loop that tests the
+    admission equation v·π_{x1..xn} = α(t) for each (symbol, children) pair,
+    with α(t) evaluated through t's sorted base tuple, not over the ranks and
+    masks of ``build_H``; kept as the reference for the indexed ``build_H``."""
     strata, current, stratum_truncated = [frozenset()], set(), False
     for _ in range(builder.caps.depth):
         admitted = []
         pool = sorted(current, key=GroundTerm.sort_key)
         for v, n in builder.symbols:
+            lhs = builder.inst.act(v, partial_identity(range(1, n + 1)))
             for combo in itertools.permutations(pool, n):
-                term = GroundTerm(v, combo)
-                if term not in current and builder.admissible(v, combo):
+                term, t = GroundTerm(v, combo), NTuple.of(dict(enumerate(combo, start=1)))
+                if term not in current and lhs == builder.eval_via(base_tuple_for(t), t):
                     admitted.append(term)
         admitted.sort(key=GroundTerm.sort_key)
         room = builder.caps.max_terms_per_stratum - len(current)
@@ -165,6 +185,31 @@ def test_indexed_build_H_matches_the_per_candidate_loop(ground, mutant_id, caps)
     want = _build_H_per_candidate(RepresentationBuilder(inst, caps))
     assert (builder.strata, builder.stratum_truncated) == want
     assert builder.terms == sorted(want[0][-1], key=GroundTerm.sort_key)
+
+
+#: (ground, mutant, caps, the cap that cuts H): the benchmark's 120-term run
+#: and Tab({a,b}) at depth 3, both cut by the stratum cap, Tab({a,b,c}),
+#: cut by the symbol cap, and every mutant on Tab({a,b})
+_RANK_CASES = [
+    pytest.param("a", None, RepCaps(depth=5, max_terms_per_stratum=120), "stratum",
+                 id="Tab(a)-depth5-stratum120"),
+    pytest.param("ab", None, RepCaps(depth=3), "stratum", id="Tab(a,b)-depth3"),
+    pytest.param("abc", None, RepCaps(), "symbols", id="Tab(a,b,c)"),
+    *(pytest.param("ab", m, RepCaps(), None, id=f"Tab(a,b)-{m}") for m in sorted(MUTANTS)),
+]
+
+
+@pytest.mark.parametrize("ground, mutant_id, caps, cut", _RANK_CASES)
+def test_build_H_ranks_terms_in_term_order_with_closure_masks(ground, mutant_id, caps, cut):
+    builder = RepresentationBuilder(_instance(ground, mutant_id), caps)
+    builder.build_H()
+    if cut is not None:
+        assert getattr(builder, f"{cut}_truncated")
+    assert builder.terms == sorted(builder.strata[-1], key=GroundTerm.sort_key)
+    assert len(builder._masks) == len(builder._rank) == len(builder.terms)
+    for i, term in enumerate(builder.terms):
+        assert builder._rank[term] == i
+        assert builder._masks[i] == sum(1 << builder._rank[s] for s in term.subterms())
 
 
 def test_rep_membership_rechecks_with_admissible(monkeypatch):

@@ -24,6 +24,9 @@ CASES = [
     # the whole two-atom signature: 60 terms in 33 classes, tables of many rows
     ("embed_a_b_symbols300.json",
      ["embed", "--ground", "a,b", "--caps", "symbols=300", "--format", "json"], 0),
+    # 120 terms up to depth 5, cut by the stratum cap: 14,400 pairs to label
+    ("embed_a_depth5_stratum120.json",
+     ["embed", "--ground", "a", "--depth", "5", "--caps", "stratum=120"], 0),
     ("check_axioms_a_b_c.json",
      ["check-axioms", "--ground", "a,b,c", "--format", "json"], 0),
     ("check_props_a_b_c.json",
