@@ -220,7 +220,8 @@ def _cmd_embed(args, out) -> int:
         json.dump(report.to_json(), out, indent=2)
         out.write("\n")
     else:
-        out.write(f"H strata sizes: {report.strata_sizes}\n")
+        out.write(f"H strata sizes: {report.strata_sizes}"
+                  f"{' (truncated)' if report.stratum_truncated else ''}\n")
         out.write(f"symbols: {report.symbol_count}"
                   f"{' (truncated)' if report.symbols_truncated else ''}\n")
         out.write(f"quotient classes: {report.quotient_classes}\n")

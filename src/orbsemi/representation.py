@@ -170,9 +170,9 @@ class RepresentationBuilder:
     The builder calls the instance's ``meet``, ``act`` and ``one`` through
     one memo, so each distinct operation is computed once per builder; this
     relies on them being pure (see ``OrbitalInstance``).  ``kappa`` and
-    ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo,
-    cached per argument; ``kappa``'s cache also holds the prefixes of each
-    fold, so base tuples that share a prefix share its meets.
+    ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo.
+    ``kappa``'s cache holds every prefix of each fold, so base tuples that
+    share a prefix share its meets; the Labelings over ``alpha`` memoize it.
 
     ``build_H`` gives ``terms[i]`` the rank i and the closure mask
     ``_masks[i]``, the int whose set bits are the ranks of its subterms, so
@@ -184,7 +184,6 @@ class RepresentationBuilder:
         self.caps = caps or RepCaps()
         self._kappa_cache = {}
         self._mask_kappa_cache = {}
-        self._alpha_cache = {}
         self._ops = {}  # (operation, *args) -> the instance's result
         self.symbols, self.symbols_truncated = self._enumerate_symbols()
         self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
@@ -248,17 +247,14 @@ class RepresentationBuilder:
         """α(t) = κ(b_t)·(b_t⁻¹ ∘ t) for a tuple t over H, with M the union
         of the closure masks of t's terms: t(y) of rank r sits in b_t at one
         more than the number of ranks in M below r."""
-        got = self._alpha_cache.get(t)
-        if got is None:
-            ranks = [self._rank[a] for _, a in t.pairs]
-            mask = 0
-            for r in ranks:
-                mask |= self._masks[r]
-            lam = FPTransform.trusted(tuple(
-                (y, (mask & ((1 << r) - 1)).bit_count() + 1)
-                for (y, _), r in zip(t.pairs, ranks)))
-            got = self._alpha_cache[t] = self._op("act", self._mask_kappa(mask), lam)
-        return got
+        ranks = [self._rank[a] for _, a in t.pairs]
+        mask = 0
+        for r in ranks:
+            mask |= self._masks[r]
+        lam = FPTransform.trusted(tuple(
+            (y, (mask & ((1 << r) - 1)).bit_count() + 1)
+            for (y, _), r in zip(t.pairs, ranks)))
+        return self._op("act", self._mask_kappa(mask), lam)
 
     def eval_via(self, b: NTuple, t: NTuple):
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
@@ -284,10 +280,9 @@ class RepresentationBuilder:
         its closure mask in ``_masks``.  Each stratum adds the new terms over
         the last that ``admissible`` would accept.  The symbols of each arity
         n are indexed by v·π_{x1..xn}, so a combination of children costs one
-        alpha and one lookup.  Also builds ``base_pool``'s fixed head.
-        Appending each stratum's new terms in term order keeps ``terms`` in
-        term order: a term admitted at stratum k has depth k, since one of its
-        children is new at k - 1 (else a cut at k - 1 left no room)."""
+        alpha and one lookup.  Appending each stratum's new terms in term
+        order keeps ``terms`` in term order: a term admitted at stratum k has
+        depth k, as a child is new at k - 1 (else a cut left no room)."""
         heads = {}  # n -> {v·π_{x1..xn}: the symbols v of arity n with it}
         for v, n in self.symbols:
             lhs = self._op("act", v, partial_identity(range(1, n + 1)))
@@ -318,17 +313,15 @@ class RepresentationBuilder:
                 self.terms.append(term)
             strata.append(frozenset(self.terms))
         self.strata, self.stratum_truncated = strata, stratum_truncated
-        self._base_head = dict.fromkeys(
-            [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in self.terms])
 
     def base_pool(self, rng: random.Random) -> list:
         """Base tuples over H: the empty tuple, the closure of each term in
         term order, then random closures of one to three terms while the pool
         holds fewer than ELEMENT_BUDGET tuples.  So it holds 1 + |H| tuples
-        when that is at least ELEMENT_BUDGET, else at most ELEMENT_BUDGET.
-        ``build_H`` builds the head before the random closures."""
+        when that is at least ELEMENT_BUDGET, else at most ELEMENT_BUDGET."""
         terms = self.terms
-        out = dict(self._base_head)
+        out = dict.fromkeys(
+            [NTuple(())] + [base_tuple_for(NTuple.of({1: t})) for t in terms])
         budget = ELEMENT_BUDGET
         while len(out) < budget and terms:
             picks = rng.sample(terms, rng.randrange(1, min(3, len(terms)) + 1))

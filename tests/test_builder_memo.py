@@ -1,10 +1,11 @@
-"""The builder's memoized kappa and alpha against the free reference
-functions, the fold prefixes that kappa's cache holds, its indexed build_H
-against the per-candidate admission loop, the ranks and closure masks that
-build_H gives H's terms, and harvested draws that do not depend on the hash
-seed."""
+"""The builder's kappa and alpha against the free reference functions, the
+fold prefixes that kappa's cache holds, its indexed build_H against the
+per-candidate admission loop, the ranks and closure masks that build_H gives
+H's terms, harvested draws that do not depend on the hash seed, and the
+instance calls that ``represent`` makes."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -256,14 +257,61 @@ print(CountingTab.meets)
 """
 
 
-def _probe(hash_seed):
+def _probe(script, hash_seed):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True).stdout
 
 
 def test_harvested_draws_do_not_depend_on_the_hash_seed():
-    first, *others = (_probe(s) for s in (0, 1, 2))
+    first, *others = (_probe(_PROBE, s) for s in (0, 1, 2))
     assert first.count("\n") == 12  # eleven rep-* reports and the meet count
     assert all(out == first for out in others)
+
+
+#: prints, for each of the benchmark's three embed runs at seed 0 (26, 60
+#: and 120 terms), the meet, act and one calls that reach the instance
+#: during ``represent``
+_CALLS_PROBE = """
+import json
+from collections import Counter
+from orbsemi.orbital import SampleConfig
+from orbsemi.representation import RepCaps, represent
+from orbsemi.tables import TableAlgebra
+
+calls = Counter()
+
+class CountingTab(TableAlgebra):
+    def meet(self, u, v):
+        calls["meet"] += 1
+        return super().meet(u, v)
+
+    def act(self, u, lam):
+        calls["act"] += 1
+        return super().act(u, lam)
+
+    def one(self):
+        calls["one"] += 1
+        return super().one()
+
+for ground, caps in (("a", RepCaps(depth=4)), ("ab", RepCaps(max_symbols=300)),
+                     ("a", RepCaps(depth=5, max_terms_per_stratum=120))):
+    calls.clear()
+    represent(CountingTab(set(ground)), SampleConfig(seed=0, cases=200), caps)
+    print(json.dumps(calls))
+"""
+
+#: the counts of ``_CALLS_PROBE``: a change to the builder's or the
+#: labelings' memos must leave the instance's work alone
+_INSTANCE_CALLS = [
+    {"act": 1464, "meet": 454, "one": 3},
+    {"act": 3127, "meet": 997, "one": 3},
+    {"act": 2269, "meet": 1016, "one": 3},
+]
+
+
+@pytest.mark.parametrize("hash_seed", [0, 1])
+def test_represent_makes_the_pinned_instance_calls(hash_seed):
+    out = _probe(_CALLS_PROBE, hash_seed)
+    assert [json.loads(line) for line in out.splitlines()] == _INSTANCE_CALLS

@@ -273,6 +273,18 @@ def test_embed_text_output(capsys):
     assert capsys.readouterr().out == EMBED_DEPTH1_TEXT
 
 
+def test_embed_text_marks_a_stratum_cut(capsys):
+    # the stratum cap cuts the fifth stratum at 120 terms; the JSON reports
+    # the cut, and so must the text
+    argv = ["embed", "--ground", "a", "--depth", "5", "--caps", "stratum=120"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["stratum_truncated"]
+    assert main([*argv, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["H strata sizes: [0, 1, 2, 5, 26, 120] (truncated)",
+                         "symbols: 3"]
+
+
 def test_embed_runs_the_exchange_law_at_cases(capsys):
     # tt samples every case, so quotient-exchange runs `cases` cases over the
     # 45 terms of Tab({a,b}), and rep-extension-witness, run at cases = |H|,
