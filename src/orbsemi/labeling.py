@@ -38,13 +38,14 @@ from .tuples import NTuple, act, atom_key, merge
 class Labeling:
     """Evaluation callback plus declared ground set and target instance.
 
-    The callback must be pure; evaluations are memoized.
-    """
+    The callback must be pure; evaluations are memoized.  ``atoms`` is the
+    ground in atom order."""
 
     def __init__(self, ground, inst: OrbitalInstance, func):
         self.ground = frozenset(ground)
         if not self.ground:
             raise ValueError("ground set must be nonempty")
+        self.atoms = sorted(self.ground, key=atom_key)
         self.inst = inst
         self.func = func
         self._cache = {}
@@ -88,7 +89,7 @@ class _Laws:
     def __init__(self, alpha: Labeling, cfg: SampleConfig, tuple_atoms, elements):
         self.alpha, self.inst = alpha, alpha.inst
         self.window = cfg.window
-        self.atoms = sorted(alpha.ground, key=atom_key)
+        self.atoms = alpha.atoms
         self.t_atoms = self.atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
         self.elements = elements
         self.capped = 0  # L3 cases whose witness search the cap skipped
@@ -285,7 +286,7 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
     representative.  It never raises on a bad labeling.
     """
     inst = alpha.inst
-    atoms = sorted(alpha.ground, key=atom_key)
+    atoms = alpha.atoms
     d12 = inst.diag(1, 2)
     related = {g: frozenset(h for h in atoms
                             if inst.leq(alpha(NTuple.trusted(((1, g), (2, h)))), d12))

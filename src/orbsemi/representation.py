@@ -19,7 +19,7 @@ from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _run_check
 from .tables import all_rows
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
-from .tuples import NTuple, merge
+from .tuples import NTuple, atom_key, merge
 
 
 class GroundTerm:
@@ -66,7 +66,7 @@ class GroundTerm:
         # determinism is what matters
         key = self._sort_key
         if key is None:
-            key = (self.depth, _head_key(self.head),
+            key = (self.depth, atom_key(self.head),
                    tuple(c.sort_key() for c in self.children))
             object.__setattr__(self, "_sort_key", key)
         return key
@@ -83,13 +83,6 @@ class GroundTerm:
         if not self.children:
             return f"T<{self.head!r}>"
         return f"T<{self.head!r}>({', '.join(repr(c) for c in self.children)})"
-
-
-def _head_key(head):
-    sk = getattr(head, "sort_key", None)
-    if sk is not None:
-        return sk()
-    return str(head)
 
 
 def arity(inst: OrbitalInstance, v):
@@ -174,10 +167,11 @@ class RepresentationBuilder:
     ``kappa``'s cache holds every prefix of each fold, so base tuples that
     share a prefix share its meets; the Labelings over ``alpha`` memoize it.
 
-    ``build_H`` gives ``terms[i]`` the rank i and the closure mask
-    ``_masks[i]``, the int whose set bits are the ranks of its subterms, so
-    ``alpha`` takes a subterm-closed set of terms as one int and builds,
-    sorts and hashes no base tuple."""
+    ``build_H`` keeps H in one list, ``terms``, in term order: the stratum
+    H^(k) is the prefix ``terms[:strata_sizes[k]]``.  It gives ``terms[i]``
+    the rank i and the closure mask ``_masks[i]``, the int whose set bits are
+    the ranks of its subterms, so ``alpha`` takes a subterm-closed set of
+    terms as one int and builds, sorts and hashes no base tuple."""
 
     def __init__(self, inst: OrbitalInstance, caps: RepCaps | None = None):
         self.inst = inst
@@ -274,10 +268,11 @@ class RepresentationBuilder:
         return lhs == rhs
 
     def build_H(self) -> None:
-        """Build the strata of H up to ``caps.depth`` into ``strata``
-        (H^(0) = ∅ ⊆ H^(1) ⊆ ...), with ``stratum_truncated``, and H's terms
-        in term order into ``terms``, with the rank of each in ``_rank`` and
-        its closure mask in ``_masks``.  Each stratum adds the new terms over
+        """Build H's terms up to ``caps.depth`` in term order into ``terms``,
+        with the rank of each in ``_rank`` and its closure mask in ``_masks``,
+        and ``stratum_truncated``.  ``strata_sizes`` holds the lengths
+        [0, |H^(1)|, ...] of the prefixes of ``terms`` that are the strata
+        H^(0) = ∅ ⊆ H^(1) ⊆ ....  Each stratum adds the new terms over
         the last that ``admissible`` would accept.  The symbols of each arity
         n are indexed by v·π_{x1..xn}, so a combination of children costs one
         alpha and one lookup.  Appending each stratum's new terms in term
@@ -288,8 +283,7 @@ class RepresentationBuilder:
             lhs = self._op("act", v, partial_identity(range(1, n + 1)))
             heads.setdefault(n, {}).setdefault(lhs, []).append(v)
         self.terms, self._rank, self._masks = [], {}, []
-        strata = [frozenset()]
-        stratum_truncated = False
+        self.strata_sizes, self.stratum_truncated = [0], False
         for _ in range(self.caps.depth):
             admitted = []
             for n, by_lhs in heads.items():
@@ -303,7 +297,7 @@ class RepresentationBuilder:
             room = self.caps.max_terms_per_stratum - len(self.terms)
             if len(admitted) > room:
                 admitted = admitted[:room]
-                stratum_truncated = True
+                self.stratum_truncated = True
             for term in admitted:
                 rank = self._rank[term] = len(self.terms)
                 mask = 1 << rank
@@ -311,8 +305,7 @@ class RepresentationBuilder:
                     mask |= self._masks[self._rank[c]]
                 self._masks.append(mask)
                 self.terms.append(term)
-            strata.append(frozenset(self.terms))
-        self.strata, self.stratum_truncated = strata, stratum_truncated
+            self.strata_sizes.append(len(self.terms))
 
     def base_pool(self, rng: random.Random) -> list:
         """Base tuples over H: the empty tuple, the closure of each term in
@@ -335,7 +328,7 @@ class RepresentationBuilder:
         """Independent re-check of admission: children in H, pairwise distinct,
         head domain an initial segment, and the admission equation."""
         cs = term.children
-        return (len(set(cs)) == len(cs) and all(c in self.strata[-1] for c in cs)
+        return (len(set(cs)) == len(cs) and all(c in self._rank for c in cs)
                 and arity(self.inst, term.head) == len(cs) and self.admissible(term.head, cs))
 
 
@@ -547,7 +540,7 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     builder = RepresentationBuilder(inst, caps)
     builder.build_H()
     report = PipelineReport(
-        strata_sizes=[len(s) for s in builder.strata],
+        strata_sizes=builder.strata_sizes,
         symbol_count=len(builder.symbols),
         symbols_truncated=builder.symbols_truncated,
         stratum_truncated=builder.stratum_truncated,
@@ -562,10 +555,10 @@ def represent(inst: OrbitalInstance, cfg: SampleConfig,
     # Witness-closed fragment: tuples draw atoms from the penultimate stratum,
     # so every L3-style witness (one stratum deeper) exists in the built H.
     # Checks on the truncated top stratum would report spurious failures.
-    strata = builder.strata
-    frag_terms = strata[-2] if len(strata) >= 3 and strata[-2] else strata[-1]
+    sizes = builder.strata_sizes
+    frag_terms = builder.terms[:sizes[-2] if len(sizes) >= 3 and sizes[-2] else sizes[-1]]
 
-    alpha = Labeling(strata[-1], inst, builder.alpha)
+    alpha = Labeling(builder.terms, inst, builder.alpha)
     report.checks.extend(_labeling_checks(alpha, "quasi", cfg, frag_terms))
 
     rep_of, alpha_bar, quotient_checks = quotient(alpha, cfg)

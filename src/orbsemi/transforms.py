@@ -109,10 +109,7 @@ class PartialMap:
         return frozenset(t for _, t in self.pairs)
 
     def __call__(self, y: int):
-        for s, t in self.pairs:
-            if s == y:
-                return t
-        raise KeyError(y)
+        return self.mapping[y]
 
     def get(self, y: int, default=None):
         for s, t in self.pairs:

@@ -184,7 +184,8 @@ def test_indexed_build_H_matches_the_per_candidate_loop(ground, mutant_id, caps)
     builder = RepresentationBuilder(inst, caps)
     builder.build_H()
     want = _build_H_per_candidate(RepresentationBuilder(inst, caps))
-    assert (builder.strata, builder.stratum_truncated) == want
+    strata = [frozenset(builder.terms[:n]) for n in builder.strata_sizes]
+    assert (strata, builder.stratum_truncated) == want
     assert builder.terms == sorted(want[0][-1], key=GroundTerm.sort_key)
 
 
@@ -206,7 +207,8 @@ def test_build_H_ranks_terms_in_term_order_with_closure_masks(ground, mutant_id,
     builder.build_H()
     if cut is not None:
         assert getattr(builder, f"{cut}_truncated")
-    assert builder.terms == sorted(builder.strata[-1], key=GroundTerm.sort_key)
+    assert builder.terms == sorted(set(builder.terms), key=GroundTerm.sort_key)
+    assert builder.strata_sizes[-1] == len(builder.terms)
     assert len(builder._masks) == len(builder._rank) == len(builder.terms)
     for i, term in enumerate(builder.terms):
         assert builder._rank[term] == i

@@ -53,10 +53,12 @@ def test_parse_errors_carry_position_and_expected():
         parse("T1 JOIN")
     assert exc.value.position == len("T1 JOIN")
     assert "NAME" in exc.value.expected
+    assert exc.value.found == "end of input"
     with pytest.raises(ParseError):
         parse("DIAG(x1 x2)")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse("T1 T2")
+    assert exc.value.found == "'T2'"
     with pytest.raises(ParseError):
         parse("T1.{x1}")
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Every name a module imports is used in it, every module-level function,
-class and assigned name of the package is used somewhere, and every function
+class and assigned name of the package is used somewhere, every attribute
+that a method assigns on ``self`` is read somewhere, and every function
 reads each of its parameters and each local name it assigns.
 
 A stdlib-only stand-in for a linter's unused-import rule: parse each module
@@ -7,8 +8,11 @@ of the package with ``ast`` and compare the names its imports bind with the
 names it reads.  ``__init__.py`` is skipped, because it imports to re-export.
 A module-level name counts as used when a statement other than its own
 definition, in the package or in the tests, names it.  Dunder names such as
-``__all__`` are read by Python itself and are exempt.  A parameter counts as
-read when the function body, nested functions and lambdas included, names it;
+``__all__`` are read by Python itself and are exempt.  An attribute counts
+as read when the package, the tests or ``bench/`` load it from any object, or
+hold its name as a string (``bench/tracing.py`` probes caches by name).  A
+parameter counts as read when the function body, nested functions and
+lambdas included, names it;
 ``self``, ``cls``, names starting with ``_``, dunder methods and abstract
 methods are exempt, because their signatures are fixed by the protocol they
 implement.  A local name counts as read likewise; ``_`` and names starting
@@ -24,6 +28,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbsemi"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -105,6 +110,45 @@ def test_scanner_finds_an_unused_assignment():
 def test_every_definition_is_referenced():
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(package, [p.read_text() for p in TESTS]) == []
+
+
+def unread_attributes(package: dict, others: list) -> list:
+    """(module, name) of each attribute that a method in ``package`` (module
+    name -> source) assigns as ``self.<name>`` and that no source of
+    ``package`` or of ``others`` (a list of sources) reads, as an attribute of
+    any object or as a string."""
+    trees = {module: ast.parse(src) for module, src in package.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted({(module, n.attr) for module, tree in trees.items() for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"
+                   and n.attr not in read})
+
+
+def test_scanner_finds_an_unread_attribute():
+    package = {"m": """
+class C:
+    def __init__(self):
+        self.a, self.b = 1, 2
+        self.c = self.d = 3
+        self.e = 4
+    def f(self, other):
+        self.e += 1
+        return self.a + other.d
+"""}
+    assert unread_attributes(package, ["getattr(x, 'c')\n"]) == [("m", "b"), ("m", "e")]
+
+
+def test_every_attribute_is_read():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text() for p in [*TESTS, *BENCH]]
+    assert unread_attributes(package, others) == []
 
 
 def unread_parameters(source: str) -> list:

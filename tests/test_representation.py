@@ -47,6 +47,11 @@ def built(inst, caps=None):
     return builder
 
 
+def stratum(builder, k):
+    """H^(k): the prefix of the builder's terms that ``strata_sizes`` gives."""
+    return frozenset(builder.terms[:builder.strata_sizes[k]])
+
+
 def unary_const(alg, atom="a"):
     return Table.from_rows(alg.ground, {NTuple.of({1: atom})})
 
@@ -81,7 +86,7 @@ def test_term_depth_and_order(alg):
 
 @pytest.fixture(scope="module")
 def terms2(alg2):
-    return built(alg2, RepCaps(depth=2)).strata[-1]
+    return stratum(built(alg2, RepCaps(depth=2)), -1)
 
 
 def test_atom_key_orders_terms_as_the_term_order(terms2):
@@ -141,9 +146,9 @@ def test_alpha_tilde_base_independent(alg2):
 
 def test_build_H_single_atom(alg):
     H = built(alg, RepCaps(depth=2))
-    assert H.strata[0] == frozenset()
-    assert len(H.strata[1]) == 1  # the single constant over {a}
-    (c,) = H.strata[1]
+    assert stratum(H, 0) == frozenset()
+    assert len(stratum(H, 1)) == 1  # the single constant over {a}
+    (c,) = stratum(H, 1)
     assert c.children == ()
     assert c.head == unary_const(alg)
     assert not H.symbols_truncated and not H.stratum_truncated
@@ -151,7 +156,7 @@ def test_build_H_single_atom(alg):
 
 def test_build_H_constants_stratum(alg2):
     H = built(alg2, RepCaps(depth=1))
-    assert len(H.strata) == 2
+    assert len(H.strata_sizes) == 2
     assert all(t.depth == 1 for t in H.terms)
     assert len(H.terms) == 3  # nonempty row subsets of the one-column space
 
@@ -212,7 +217,7 @@ def test_stratum_truncation_reported(alg2):
 
 def test_build_H_leaves_caller_caps_alone(alg2):
     caps = RepCaps(depth=1, max_terms_per_stratum=10)
-    assert len(built(alg2, caps).strata) == 2
+    assert len(built(alg2, caps).strata_sizes) == 2
     assert caps == RepCaps(depth=1, max_terms_per_stratum=10)
 
 
@@ -320,7 +325,7 @@ def _ref_depth(t):
 
 
 def _ref_sort_key(t):
-    head = t.head.sort_key() if hasattr(t.head, "sort_key") else str(t.head)
+    head = (1, t.head.sort_key()) if hasattr(t.head, "sort_key") else (0, str(t.head))
     return (_ref_depth(t), head, tuple(_ref_sort_key(c) for c in t.children))
 
 

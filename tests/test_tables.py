@@ -216,7 +216,7 @@ def test_sorted_rows_is_the_sort_key_order_on_ground_terms():
     alg = TableAlgebra({"a"})
     builder = RepresentationBuilder(alg, RepCaps(depth=4))
     builder.build_H()
-    alpha = Labeling(builder.strata[-1], alg, builder.alpha)
+    alpha = Labeling(builder.terms, alg, builder.alpha)
     extents = [extent(alpha, u) for u in enumerate_tables(alg.ground, subsets([1, 2]))]
     assert max(len(Tb.rows) for Tb in extents) == len(builder.terms) ** 2
     for Tb in extents:
