@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 from .orbital import (ELEMENT_BUDGET, WITNESS_CAP, CheckReport, OrbitalInstance,
                       SampleConfig, _run_check)
-from .tables import Table, TableAlgebra, all_rows, bottom, natural_join, subsets
+from .tables import Table, TableAlgebra, _table, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
 from .tuples import NTuple, act, atom_key, merge
@@ -50,6 +50,7 @@ class Labeling:
         self.func = func
         self._cache = {}
         self._extents = {}  # element -> extent, kept for the embedding laws
+        self._candidates = {}  # schema X -> [(t, alpha(t))] for t in G^X, dom alpha(t) = X
 
     def __call__(self, t: NTuple):
         got = self._cache.get(t)
@@ -68,16 +69,19 @@ def singleton_labeling(algebra: TableAlgebra) -> Labeling:
 
 def extent(alpha: Labeling, u) -> Table:
     """All tuples whose label lies below u, with matching domain: none when
-    dom(u) is ALL, as for the bottom element, since no tuple is that wide."""
+    dom(u) is ALL, as for the bottom element, since no tuple is that wide.
+    The tuples over dom(u) whose label has that domain are kept with their
+    labels in ``alpha._candidates``, so each schema is labeled once."""
     inst = alpha.inst
     du = inst.dom(u)
     if schema_is_all(du):
         return bottom(alpha.ground)
-    rows = [
-        t for t in all_rows(alpha.ground, du)
-        if inst.dom(alpha(t)) == du and inst.leq(alpha(t), u)
-    ]
-    return Table.from_rows(alpha.ground, rows)
+    cands = alpha._candidates.get(du)
+    if cands is None:
+        labeled = ((t, alpha(t)) for t in all_rows(alpha.ground, du))
+        cands = alpha._candidates[du] = [(t, a) for t, a in labeled if inst.dom(a) == du]
+    rows = [t for t, a in cands if inst.leq(a, u)]
+    return _table(alpha.ground, du, rows) if rows else bottom(alpha.ground)
 
 
 class _Laws:
@@ -269,7 +273,7 @@ def _quotient_equivalence(ctx, term):
 
 
 def _quotient_exchange(ctx, tt):
-    rep = NTuple.trusted(tuple((x, ctx.rep_of[a]) for x, a in tt.pairs))
+    rep = NTuple.trusted((x, ctx.rep_of[a]) for x, a in tt)
     lhs, rhs = ctx.alpha(tt), ctx.alpha(rep)
     return lhs == rhs, lambda: {"rep∘tt": rep, "alpha(tt)": lhs, "alpha(rep∘tt)": rhs}
 

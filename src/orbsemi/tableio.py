@@ -21,7 +21,7 @@ from .tuples import NTuple
 
 def _cells(T: Table) -> list:
     """Each row's atom texts, in column order: a row's pairs are sorted by variable."""
-    return [[str(a) for _, a in r.pairs] for r in T.sorted_rows()]
+    return [[str(a) for _, a in r] for r in T.sorted_rows()]
 
 
 def table_to_json(T: Table) -> dict:
@@ -42,11 +42,11 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
     # each row is checked once here: its pairs are its cells picked in sorted
     # column order, so they are sorted and functional as NTuple requires
     order, pick = sorted(cols), _picker(sorted(range(len(cols)), key=cols.__getitem__))
-    rows = set()
+    trusted, rows = NTuple.trusted, set()
     for raw in cells:
         if len(raw) != len(cols):
             raise ValueError(f"row {raw} does not match {what} {names}")
-        rows.add(tuple(zip(order, pick([str(a) for a in raw]))))
+        rows.add(trusted(zip(order, pick([str(a) for a in raw]))))
     atoms = {a for r in rows for _, a in r}
     if ground is None:
         if not atoms:
@@ -55,7 +55,6 @@ def _table_from_cells(names: list, cells, ground, what: str) -> Table:
     ground = frozenset(ground)
     if not atoms <= ground:
         raise ValueError(f"atoms {sorted(atoms - ground)} outside ground set")
-    rows = frozenset(map(NTuple.trusted, rows))
     if not rows or not ground:  # from_rows gives ALL to no rows, rejects no ground
         return Table.from_rows(ground, rows)
     return _table(ground, frozenset(cols), rows)

@@ -11,7 +11,10 @@ Rows are validated where they enter from outside: ``Table(...)`` and
 with ``_table``, and ``exprlang`` checks that every referenced table has the
 expression's ground set.  The results of table operations (join, right
 multiplication, the order test) are built from rows of valid operands by
-column position and are not validated again.
+column position and are not validated again.  A row is an ``NTuple``, the
+tuple of its pairs, so the operations index rows directly and build each
+result row with the unvalidated ``NTuple.trusted``; the order test probes the
+row set with the plain tuple of the picked pairs, which equals the row.
 
 Schema-only work is done once.  ``TableAlgebra`` builds ``zero()`` and
 ``one()`` in its constructor and each ``diag(x, y)`` on first use, in a dict
@@ -71,10 +74,10 @@ class Table:
         """The rows in ``NTuple.sort_key`` order.  Every row has the same
         variables at the same positions, so rows sort as the tuples of their
         atoms' ranks, each atom keyed once; atoms with equal keys share a rank."""
-        keys = {a: atom_key(a) for a in {a for r in self.rows for _, a in r.pairs}}
+        keys = {a: atom_key(a) for a in {a for r in self.rows for _, a in r}}
         rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
         rank = {a: rank[k] for a, k in keys.items()}
-        return sorted(self.rows, key=lambda r: tuple([rank[a] for _, a in r.pairs]))
+        return sorted(self.rows, key=lambda r: tuple([rank[a] for _, a in r]))
 
     def sort_key(self):
         s = (1,) if schema_is_all(self.schema) else (0, tuple(sorted(self.schema)))
@@ -136,16 +139,14 @@ def natural_join(T1: Table, T2: Table) -> Table:
         T1, T2 = T2, T1
     key1, key2, merged, schema = _join_plan(T1.schema, T2.schema)
     buckets = {}
-    for r in T2.rows:
-        buckets.setdefault(key2(r.pairs), []).append(r.pairs)
-    out = set()
-    for r in T1.rows:
-        p1 = r.pairs
-        for p2 in buckets.get(key1(p1), ()):
-            out.add(merged(p1 + p2))
+    for r2 in T2.rows:
+        buckets.setdefault(key2(r2), []).append(r2)
+    # a merged row restricts to the two rows it came from, so none repeats
+    trusted = NTuple.trusted
+    out = [trusted(merged(r1 + r2)) for r1 in T1.rows for r2 in buckets.get(key1(r1), ())]
     if not out:
         return bottom(T1.ground)
-    return _table(T1.ground, schema, map(NTuple.trusted, out))
+    return _table(T1.ground, schema, out)
 
 
 @_plan_cache
@@ -154,7 +155,7 @@ def _join_plan(s1: frozenset, s2: frozenset):
     schema of a join of tables over s1 and s2."""
     # every row of a table has its pairs at the same positions, sorted by
     # variable; rows match on the pairs at the shared variables, and a merged
-    # row picks its sorted pairs out of r1.pairs + r2.pairs
+    # row picks its sorted pairs out of r1 + r2
     cols1, cols2 = sorted(s1), sorted(s2)
     key1 = _picker([i for i, v in enumerate(cols1) if v in s2])
     key2 = _picker([i for i, v in enumerate(cols2) if v in s1])
@@ -172,9 +173,9 @@ def leq(T1: Table, T2: Table) -> bool:
         return True
     if not T2.rows:
         return False
-    key = _leq_plan(T1.schema, T2.schema)
-    trusted = NTuple.trusted
-    return all(trusted(key(r.pairs)) in T2.rows for r in T1.rows)
+    # a row equals the plain tuple of its pairs, so the picked pairs probe T2
+    key, rows = _leq_plan(T1.schema, T2.schema), T2.rows
+    return all(key(r) in rows for r in T1.rows)
 
 
 @_plan_cache
@@ -188,11 +189,8 @@ def act_table(T: Table, lam: FPTransform) -> Table:
     if not T.rows:
         return T
     plan, schema = _act_plan(T.schema, lam.pairs)
-    rows = set()
-    for r in T.rows:
-        p = r.pairs
-        rows.add(tuple([(y, p[i][1]) for y, i in plan]))
-    return _table(T.ground, schema, map(NTuple.trusted, rows))
+    trusted = NTuple.trusted
+    return _table(T.ground, schema, [trusted([(y, r[i][1]) for y, i in plan]) for r in T.rows])
 
 
 @_plan_cache
@@ -217,10 +215,8 @@ def all_rows(G, X):
     """All named tuples with domain of definition X and values in G."""
     # the columns are sorted and distinct, so the pairs need no validation
     cols = sorted(set(X))
-    atoms = sorted(G, key=atom_key)
-    trusted = NTuple.trusted
-    for combo in itertools.product(atoms, repeat=len(cols)):
-        yield trusted(tuple(zip(cols, combo)))
+    combos = itertools.product(sorted(G, key=atom_key), repeat=len(cols))
+    return map(NTuple.trusted, map(zip, itertools.repeat(cols), combos))
 
 
 def tables_with_schema(G, X):

@@ -6,9 +6,10 @@ range-inside-domain requirement is imposed.  All values are immutable and
 compare structurally.
 
 Transformations and named tuples (``tuples.NTuple``) are both finite partial
-maps on the variables, so they share one core: ``PartialMap`` with its
-accessors, ``compose`` (which is also the action of a transformation on a
-tuple), ``restrict`` and ``astrict``.
+maps on the variables, so they share one core: the ``PartialMap`` mixin with
+its accessors, ``compose`` (which is also the action of a transformation on a
+tuple), ``restrict`` and ``astrict``.  A named tuple is the tuple of its pairs,
+hashed and compared in C; a transformation is a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -73,28 +74,17 @@ def parse_var(text: str) -> int:
 _new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
 class PartialMap:
-    """A finite partial map on the variables, stored as (variable, value) pairs
-    sorted by variable.
+    """The accessors of a finite partial map on the variables, read from its
+    ``pairs`` sorted by variable.  A stateless mixin: ``tuples.NTuple`` is the
+    tuple of its pairs and ``FPTransform`` a frozen dataclass, so maps of
+    different kinds never compare equal."""
 
-    Subclasses validate the pairs in ``__post_init__``; equality and hashing are
-    those of the dataclass, so maps of different subclasses never compare equal.
-    """
-
-    pairs: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, mapping: Mapping | Iterable[tuple]):
         return cls(tuple(sorted(dict(mapping).items())))
-
-    @classmethod
-    def trusted(cls, pairs: tuple):
-        """A map from pairs that are already sorted by variable and functional;
-        unlike ``cls(pairs)`` it skips the validation in ``__post_init__``."""
-        m = _new(cls)
-        _set(m, "pairs", pairs)
-        return m
 
     @property
     def mapping(self) -> dict:
@@ -125,6 +115,8 @@ class PartialMap:
 class FPTransform(PartialMap):
     """A finite partial transformation: a partial map from variables to variables."""
 
+    pairs: tuple
+
     def __post_init__(self):
         last = 0
         for s, t in self.pairs:
@@ -133,6 +125,14 @@ class FPTransform(PartialMap):
             if s <= last:
                 raise ValueError("pairs must be sorted and functional")
             last = s
+
+    @classmethod
+    def trusted(cls, pairs: tuple):
+        """``FPTransform(pairs)`` without the validation in ``__post_init__``,
+        for pairs already sorted by variable and functional."""
+        m = _new(cls)
+        _set(m, "pairs", pairs)
+        return m
 
     def __repr__(self):
         return format_transform(self)

@@ -3,11 +3,14 @@
 Atoms are opaque hashable values (plain strings for concrete table algebras,
 ground terms in the representation construction).  The transformation action
 is precomposition: (t ∘ lam)(y) = t(lam(y)), the ``compose`` of transforms.
+
+A named tuple is the immutable ``tuple`` of its (variable, atom) pairs, so it
+is hashed and compared in C and equals the plain tuple of its pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 from .transforms import PartialMap, compose, parse_map, restrict, var_name
 
@@ -20,25 +23,40 @@ def atom_key(a):
     return (0, str(a))
 
 
-@dataclass(frozen=True)
-class NTuple(PartialMap):
-    """A named tuple, stored as (variable, atom) pairs sorted by variable."""
+class NTuple(tuple, PartialMap):
+    """A named tuple: its (variable, atom) pairs sorted by variable, which
+    ``NTuple(pairs)`` validates and ``NTuple.trusted(pairs)`` does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs):
+        t = tuple.__new__(cls, pairs)
+        t.__post_init__()
+        return t
 
     def __post_init__(self):
         last = 0
-        for v, _ in self.pairs:
+        for v, _ in self:
             if not (isinstance(v, int) and v >= 1):
                 raise ValueError(f"bad variable {v!r}")
             if v <= last:
                 raise ValueError("pairs must be sorted by variable and functional")
             last = v
 
+    @property
+    def pairs(self) -> tuple:
+        return self
+
     def sort_key(self):
-        return tuple((v, atom_key(a)) for v, a in self.pairs)
+        return tuple((v, atom_key(a)) for v, a in self)
 
     def __repr__(self):
-        return "{" + ", ".join(f"{var_name(v)}:{a}" for v, a in self.pairs) + "}"
+        return "{" + ", ".join(f"{var_name(v)}:{a}" for v, a in self) + "}"
 
+
+#: a tuple from pairs that are already sorted by variable and functional;
+#: unlike ``NTuple(pairs)`` it skips the validation in ``__post_init__``
+NTuple.trusted = functools.partial(tuple.__new__, NTuple)
 
 EMPTY_TUPLE = NTuple(())
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbsemi
 from orbsemi import labeling
 from orbsemi.cli import main
 from orbsemi.tableio import table_to_csv, table_to_json
@@ -9,6 +14,7 @@ from orbsemi.tables import Table
 from orbsemi.tuples import NTuple
 
 G = frozenset({"a", "b"})
+SRC = Path(orbsemi.__file__).resolve().parent.parent
 
 
 def T(*rows):
@@ -333,3 +339,19 @@ def test_bad_subcommand_usage(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-labeling", "--ground", "a,b", "--format", "json"],
+    ["check-axioms", "--ground", "a,b", "--cases", "100", "--format", "json"],
+], ids=["check-labeling", "check-axioms"])
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # rows hash as the tuples of their pairs, so the order of a table's rows
+    # in a frozenset moves with the hash seed; the reports must not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-m", "orbsemi.cli", *argv], check=True,
+                           capture_output=True, env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                                         PYTHONPATH=path)).stdout
+            for seed in (0, 1)]
+    assert json.loads(outs[0])["checks"]
+    assert outs[0] == outs[1]

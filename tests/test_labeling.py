@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from orbsemi import labeling
@@ -14,8 +16,9 @@ from orbsemi.labeling import (
 )
 from orbsemi.mutants import make_mutant
 from orbsemi.orbital import SampleConfig
-from orbsemi.tables import Table, TableAlgebra, act_table, enumerate_tables, subsets
-from orbsemi.transforms import FPTransform
+from orbsemi.tables import (Table, TableAlgebra, act_table, all_rows, bottom, enumerate_tables,
+                            subsets)
+from orbsemi.transforms import FPTransform, schema_is_all
 from orbsemi.tuples import NTuple
 
 G = frozenset({"a", "b"})
@@ -70,6 +73,55 @@ def test_extent_of_an_element_whose_domain_is_all_is_empty(alg):
     inst = make_mutant("dom-top-all", alg)
     assert inst.one() != inst.zero()
     assert extent(singleton_labeling(inst), inst.one()) == alg.zero()
+
+
+def extent_by_definition(alpha: Labeling, u, dom_filter=True) -> Table:
+    """The tuples t over dom(u) with dom(alpha(t)) = dom(u) and alpha(t) ≤ u,
+    labeled one by one."""
+    inst, du = alpha.inst, alpha.inst.dom(u)
+    if schema_is_all(du):
+        return bottom(alpha.ground)
+    return Table.from_rows(alpha.ground, [
+        t for t in all_rows(alpha.ground, du)
+        if (not dom_filter or inst.dom(alpha(t)) == du) and inst.leq(alpha(t), u)])
+
+
+def _widened(alg):
+    """A labeling that breaks L1: a tuple that uses atom a is labeled by
+    itself extended with x9:b, so its label's domain is wider than its own."""
+    def func(t):
+        row = NTuple.of({**t.mapping, 9: "b"}) if "a" in t.rng else t
+        return Table.from_rows(alg.ground, {row})
+    return Labeling(alg.ground, alg, func)
+
+
+@pytest.mark.parametrize("make", [singleton_labeling, _widened], ids=["singleton", "breaks-L1"])
+def test_extent_matches_its_definition_on_the_pool(alg, make):
+    pool = alg.element_pool(SampleConfig(seed=0), random.Random(0))
+    alpha, reference = make(alg), make(alg)
+    for u in pool:
+        assert extent(alpha, u) == extent_by_definition(reference, u)
+    # the domain test decides some extent of the labeling that breaks L1
+    filtered = any(extent_by_definition(reference, u, dom_filter=False)
+                   != extent_by_definition(reference, u) for u in pool)
+    assert filtered == (make is _widened)
+
+
+def test_extent_labels_each_schema_once(alg):
+    class CountingLabeling(Labeling):
+        calls = 0
+
+        def __call__(self, t):
+            self.calls += 1
+            return super().__call__(t)
+
+    alpha = CountingLabeling(G, alg, singleton_labeling(alg).func)
+    u1 = Table.from_rows(G, {NTuple.of({1: "a", 2: "b"})})
+    u2 = Table.from_rows(G, {NTuple.of({1: "b", 2: "b"}), NTuple.of({1: "a", 2: "a"})})
+    assert extent(alpha, u1) == u1
+    assert alpha.calls == len(G) ** 2  # every tuple over {x1, x2}, once
+    assert extent(alpha, u2) == u2
+    assert alpha.calls == len(G) ** 2
 
 
 def extent_act_inclusion(alpha: Labeling, u, lam) -> bool:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,3 +100,37 @@ def test_sorted_pairs_enforced():
         NTuple(((2, "a"), (1, "b")))
     with pytest.raises(ValueError):
         NTuple(((0, "a"),))
+
+
+@given(ntuples)
+def test_a_tuple_equals_and_hashes_as_the_plain_tuple_of_its_pairs(t):
+    # leq probes a table's rows with the plain tuple of the picked pairs
+    plain = tuple(t.pairs)
+    assert type(plain) is tuple
+    assert t == plain and plain == t
+    assert hash(t) == hash(plain)
+    assert plain in {t} and t in {plain}
+
+
+def test_a_tuple_has_no_attributes_of_its_own():
+    t = NTuple.of({1: "a"})
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        t.pairs = ()
+
+
+@given(ntuples)
+def test_a_tuple_survives_pickling(t):
+    copy = pickle.loads(pickle.dumps(t))
+    assert type(copy) is NTuple
+    assert copy == t and copy.pairs == t.pairs
+
+
+def test_trusted_skips_the_validation_that_the_constructor_runs():
+    unsorted = ((2, "a"), (1, "b"))
+    t = NTuple.trusted(unsorted)
+    assert type(t) is NTuple and t.pairs == unsorted
+    with pytest.raises(ValueError):
+        NTuple(unsorted)
