@@ -119,26 +119,27 @@ def eta(term: GroundTerm) -> NTuple:
                            (len(term.children) + 1, term)))
 
 
-def _inverse_after(b: NTuple, t: NTuple) -> FPTransform:
-    """b^{-r} ∘ t: the transformation y ↦ the least variable b maps to t(y),
-    defined where t(y) lies in rng(b)."""
+def _inverse_after(b: NTuple, t: NTuple) -> tuple:
+    """The pairs of b^{-r} ∘ t, the transformation y ↦ the least variable b
+    maps to t(y), defined where t(y) lies in rng(b)."""
     inv = {a: x for x, a in reversed(b.pairs)}  # the least x is written last
     # t.pairs is sorted by variable, so the result is too
-    return FPTransform.trusted(tuple((y, inv[a]) for y, a in t.pairs if a in inv))
+    return tuple((y, inv[a]) for y, a in t.pairs if a in inv)
 
 
 def kappa(b: NTuple, inst: OrbitalInstance):
     """Meet over the terms in rng(b) of head · (eta^{-r} ∘ b)."""
     out = inst.one()
     for term in sorted(b.rng, key=GroundTerm.sort_key):
-        out = inst.meet(out, inst.act(term.head, _inverse_after(eta(term), b)))
+        lam = FPTransform.trusted(_inverse_after(eta(term), b))
+        out = inst.meet(out, inst.act(term.head, lam))
     return out
 
 
 def alpha_tilde(t: NTuple, inst: OrbitalInstance, base: NTuple | None = None):
     """kappa(b_t) · (b_t^{-1} ∘ t); independent of the base-tuple choice."""
     b = base_tuple_for(t) if base is None else base
-    return inst.act(kappa(b, inst), _inverse_after(b, t))
+    return inst.act(kappa(b, inst), FPTransform.trusted(_inverse_after(b, t)))
 
 
 @dataclass
@@ -160,10 +161,14 @@ class RepresentationBuilder:
     """Stateful driver: signature enumeration, memoized evaluation maps, and
     the stratified fixpoint loop for H.
 
-    The builder calls the instance's ``meet``, ``act`` and ``one`` through
-    one memo, so each distinct operation is computed once per builder; this
-    relies on them being pure (see ``OrbitalInstance``).  ``kappa`` and
-    ``alpha`` are the free ``kappa`` and ``alpha_tilde`` over that memo.
+    The builder hash-conses the instance's values: ``_kept`` holds each
+    symbol and each distinct ``meet``, ``act`` and ``one`` result as one
+    object for the builder's life, so an id names one value.  ``_ops`` keys
+    u·λ by (id(u), λ's pairs) and u ∧ v by (id(u), id(v)), for kept u and v
+    only (a value from outside is kept first): each distinct operation, which
+    must be pure (see ``OrbitalInstance``), is computed once per builder, and
+    a hit hashes only ints and tuples.  ``kappa`` and ``alpha`` are the free
+    ``kappa`` and ``alpha_tilde`` over that memo.
     ``kappa``'s cache holds every prefix of each fold, so base tuples that
     share a prefix share its meets; the Labelings over ``alpha`` memoize it.
 
@@ -178,23 +183,30 @@ class RepresentationBuilder:
         self.caps = caps or RepCaps()
         self._kappa_cache = {}
         self._mask_kappa_cache = {}
-        self._ops = {}  # (operation, *args) -> the instance's result
-        self.symbols, self.symbols_truncated = self._enumerate_symbols()
-        self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
-
-    def _enumerate_symbols(self):
+        self._kept = {}  # instance value -> the one object of it the builder passes on
+        self._ops = {}  # (id(u), λ's pairs) -> u·λ, (id(u), id(v)) -> u ∧ v; both kept
         signature = ((v, width - 1)
                      for width in range(1, self.caps.max_symbol_vars + 1)
-                     for v in self.inst.elements_with_schema(frozenset(range(1, width + 1))))
-        out = list(itertools.islice(signature, self.caps.max_symbols))
-        return out, next(signature, None) is not None
+                     for v in inst.elements_with_schema(frozenset(range(1, width + 1))))
+        self.symbols = [(self._keep(v), n)
+                        for v, n in itertools.islice(signature, self.caps.max_symbols)]
+        self.symbols_truncated = next(signature, None) is not None
+        self._symbol_names = {v: f"s{i}" for i, (v, _) in enumerate(self.symbols)}
 
-    def _op(self, name, *args):
-        """``self.inst.<name>(*args)``, computed once per distinct arguments."""
-        key = (name, *args)
-        got = self._ops.get(key)
-        if got is None:
-            got = self._ops[key] = getattr(self.inst, name)(*args)
+    def _keep(self, value):
+        """The builder's one object equal to ``value``: the first it was given."""
+        return self._kept.setdefault(value, value)
+
+    def _act(self, u, lam: tuple):
+        """u·λ for a kept u and λ's pairs, asked of the instance once."""
+        if (got := self._ops.get((id(u), lam))) is None:
+            got = self._ops[id(u), lam] = self._keep(self.inst.act(u, FPTransform.trusted(lam)))
+        return got
+
+    def _meet(self, u, v):
+        """u ∧ v for kept u and v, in this order, asked of the instance once."""
+        if (got := self._ops.get((id(u), id(v)))) is None:
+            got = self._ops[id(u), id(v)] = self._keep(self.inst.meet(u, v))
         return got
 
     def kappa(self, b: NTuple):
@@ -204,15 +216,14 @@ class RepresentationBuilder:
         A term's children sort before it, so the prefix of a subterm-closed b
         is subterm-closed, no earlier step sees s, and the meets run in the
         free fold's order.  The cache holds every prefix of b's fold."""
-        got = self._kappa_cache.get(b)
-        if got is None:
+        if (got := self._kappa_cache.get(b)) is None:
             if b.pairs:
                 rng = b.rng
                 last = max(rng, key=GroundTerm.sort_key)
-                step = self._op("act", last.head, _inverse_after(eta(last), b))
-                got = self._op("meet", self.kappa(astrict(b, rng - {last})), step)
+                step = self._act(self._keep(last.head), _inverse_after(eta(last), b))
+                got = self._meet(self.kappa(astrict(b, rng - {last})), step)
             else:
-                got = self._op("one")
+                got = self._mask_kappa(0)
             self._kappa_cache[b] = got
         return got
 
@@ -221,19 +232,17 @@ class RepresentationBuilder:
         the recursion of ``kappa`` with the same instance calls: κ(0) = one,
         and κ(M) = κ(M without its top rank r) ∧ s.head · (η(s)⁻ʳ ∘ b_M)
         for s = ``terms[r]``."""
-        got = self._mask_kappa_cache.get(mask)
-        if got is None:
+        if (got := self._mask_kappa_cache.get(mask)) is None:
             if mask:
                 r = mask.bit_length() - 1
                 s = self.terms[r]
                 # η(s) is injective: the children of a term of H are distinct
-                lam = FPTransform.trusted(tuple(sorted(
-                    ((mask & ((1 << self._rank[c]) - 1)).bit_count() + 1, x)
-                    for x, c in enumerate((*s.children, s), start=1))))
-                step = self._op("act", s.head, lam)
-                got = self._op("meet", self._mask_kappa(mask ^ (1 << r)), step)
+                lam = tuple(sorted(((mask & ((1 << self._rank[c]) - 1)).bit_count() + 1, x)
+                                   for x, c in enumerate((*s.children, s), start=1)))
+                step = self._act(s.head, lam)  # build_H gave H's terms kept heads
+                got = self._meet(self._mask_kappa(mask ^ (1 << r)), step)
             else:
-                got = self._op("one")
+                got = self._keep(self.inst.one())
             self._mask_kappa_cache[mask] = got
         return got
 
@@ -245,14 +254,13 @@ class RepresentationBuilder:
         mask = 0
         for r in ranks:
             mask |= self._masks[r]
-        lam = FPTransform.trusted(tuple(
-            (y, (mask & ((1 << r) - 1)).bit_count() + 1)
-            for (y, _), r in zip(t.pairs, ranks)))
-        return self._op("act", self._mask_kappa(mask), lam)
+        lam = tuple((y, (mask & ((1 << r) - 1)).bit_count() + 1)
+                    for (y, _), r in zip(t.pairs, ranks))
+        return self._act(self._mask_kappa(mask), lam)
 
     def eval_via(self, b: NTuple, t: NTuple):
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
-        return self._op("act", self.kappa(b), _inverse_after(b, t))
+        return self._act(self.kappa(b), _inverse_after(b, t))
 
     def format_term(self, t: GroundTerm) -> str:
         name = self._symbol_names.get(t.head, "?")
@@ -263,7 +271,7 @@ class RepresentationBuilder:
     def admissible(self, v, children: tuple) -> bool:
         """The stratum admission condition: v·π_{x1..xn} = alpha(<x1:t1,...>)."""
         n = len(children)
-        lhs = self._op("act", v, partial_identity(range(1, n + 1)))
+        lhs = self._act(self._keep(v), tuple((i, i) for i in range(1, n + 1)))
         rhs = self.alpha(NTuple.of({i + 1: c for i, c in enumerate(children)}))
         return lhs == rhs
 
@@ -280,7 +288,7 @@ class RepresentationBuilder:
         depth k, as a child is new at k - 1 (else a cut left no room)."""
         heads = {}  # n -> {v·π_{x1..xn}: the symbols v of arity n with it}
         for v, n in self.symbols:
-            lhs = self._op("act", v, partial_identity(range(1, n + 1)))
+            lhs = self._act(v, tuple((i, i) for i in range(1, n + 1)))
             heads.setdefault(n, {}).setdefault(lhs, []).append(v)
         self.terms, self._rank, self._masks = [], {}, []
         self.strata_sizes, self.stratum_truncated = [0], False

@@ -1,9 +1,12 @@
 """The builder's kappa and alpha against the free reference functions, the
 fold prefixes that kappa's cache holds, its indexed build_H against the
 per-candidate admission loop, the ranks and closure masks that build_H gives
-H's terms, harvested draws that do not depend on the hash seed, and the
-instance calls that ``represent`` makes."""
+H's terms, harvested draws that do not depend on the hash seed, the
+instance calls that ``represent`` makes, and the builder's id-keyed memo:
+exact when equal values are distinct objects, in operand order, and free of
+value hashes once warm."""
 
+import copy
 import itertools
 import json
 import os
@@ -18,8 +21,9 @@ import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
 from orbsemi.orbital import SampleConfig
 from orbsemi.representation import (GroundTerm, RepCaps, RepresentationBuilder,
-                                     alpha_tilde, base_tuple_for, harvested_checks, kappa)
-from orbsemi.tables import TableAlgebra
+                                     alpha_tilde, base_tuple_for, harvested_checks, kappa,
+                                     represent)
+from orbsemi.tables import Table, TableAlgebra, leq, natural_join
 from orbsemi.transforms import FPTransform, astrict, compose, partial_identity
 from orbsemi.tuples import NTuple
 
@@ -273,47 +277,152 @@ def test_harvested_draws_do_not_depend_on_the_hash_seed():
 
 
 #: prints, for each of the benchmark's three embed runs at seed 0 (26, 60
-#: and 120 terms), the meet, act and one calls that reach the instance
-#: during ``represent``
+#: and 120 terms), then for ``meet-incomparable-zero`` on Tab({a,b}), the
+#: meet, act and one calls that reach the instance during ``represent``
 _CALLS_PROBE = """
 import json
 from collections import Counter
+from orbsemi.mutants import make_mutant
 from orbsemi.orbital import SampleConfig
 from orbsemi.representation import RepCaps, represent
 from orbsemi.tables import TableAlgebra
 
 calls = Counter()
 
-class CountingTab(TableAlgebra):
-    def meet(self, u, v):
-        calls["meet"] += 1
-        return super().meet(u, v)
+def counted(inst):
+    for name in ("meet", "act", "one"):
+        def call(*args, f=getattr(inst, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        setattr(inst, name, call)
+    return inst
 
-    def act(self, u, lam):
-        calls["act"] += 1
-        return super().act(u, lam)
-
-    def one(self):
-        calls["one"] += 1
-        return super().one()
-
-for ground, caps in (("a", RepCaps(depth=4)), ("ab", RepCaps(max_symbols=300)),
-                     ("a", RepCaps(depth=5, max_terms_per_stratum=120))):
+for inst, caps in ((TableAlgebra({"a"}), RepCaps(depth=4)),
+                   (TableAlgebra({"a", "b"}), RepCaps(max_symbols=300)),
+                   (TableAlgebra({"a"}), RepCaps(depth=5, max_terms_per_stratum=120)),
+                   (make_mutant("meet-incomparable-zero", TableAlgebra({"a", "b"})),
+                    RepCaps())):
     calls.clear()
-    represent(CountingTab(set(ground)), SampleConfig(seed=0, cases=200), caps)
+    represent(counted(inst), SampleConfig(seed=0, cases=200), caps)
     print(json.dumps(calls))
 """
 
 #: the counts of ``_CALLS_PROBE``: a change to the builder's or the
-#: labelings' memos must leave the instance's work alone
+#: labelings' memos must leave the instance's work alone.  A meet memo keyed
+#: on the unordered pair of operands would make fewer meet calls
 _INSTANCE_CALLS = [
     {"act": 1464, "meet": 454, "one": 3},
     {"act": 3127, "meet": 997, "one": 3},
     {"act": 2269, "meet": 1016, "one": 3},
+    {"act": 1040, "meet": 2064, "one": 3},
 ]
+
+#: the benchmark's three embed runs, whose calls are the first three counts
+_EMBED_RUNS = [("a", RepCaps(depth=4)), ("ab", RepCaps(max_symbols=300)),
+               ("a", RepCaps(depth=5, max_terms_per_stratum=120))]
 
 
 @pytest.mark.parametrize("hash_seed", [0, 1])
 def test_represent_makes_the_pinned_instance_calls(hash_seed):
     out = _probe(_CALLS_PROBE, hash_seed)
     assert [json.loads(line) for line in out.splitlines()] == _INSTANCE_CALLS
+
+
+class _FreshTab(TableAlgebra):
+    """Tab(G) that returns a fresh copy of every meet, act and one result, so
+    that equal values reach the builder as distinct objects, and counts those
+    calls."""
+
+    def __init__(self, ground):
+        super().__init__(ground)
+        self.calls = {"act": 0, "meet": 0, "one": 0}
+
+    def meet(self, u, v):
+        self.calls["meet"] += 1
+        return copy.copy(super().meet(u, v))
+
+    def act(self, u, lam):
+        self.calls["act"] += 1
+        return copy.copy(super().act(u, lam))
+
+    def one(self):
+        self.calls["one"] += 1
+        return copy.copy(super().one())
+
+
+@pytest.mark.parametrize("run, calls", zip(_EMBED_RUNS, _INSTANCE_CALLS[:3]),
+                         ids=["Tab(a)-depth4", "Tab(a,b)-symbols300",
+                              "Tab(a)-depth5-stratum120"])
+def test_id_keys_are_exact_when_equal_values_are_distinct_objects(run, calls):
+    ground, caps = run
+    cfg = SampleConfig(seed=0, cases=200)
+    fresh = _FreshTab(set(ground))
+    assert fresh.one() is not fresh.one()
+    fresh.calls["one"] = 0
+    got = represent(fresh, cfg, caps).to_json()
+    want = represent(TableAlgebra(set(ground)), cfg, caps).to_json()
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+    assert fresh.calls == calls
+
+
+def test_membership_does_not_depend_on_the_head_object():
+    # the terms of H, then each symbol over the first stratum of Tab({a,b}):
+    # 45 of those 324 are admissible.  Each head is a fresh copy, dropped
+    # after its call, so the ids of unkept copies are reused; a memo keyed
+    # on them would give stale hits
+    builder = RepresentationBuilder(TableAlgebra({"a", "b"}))
+    builder.build_H()
+    pool = builder.terms[:builder.strata_sizes[1]]
+    candidates = [*builder.terms, *(GroundTerm(v, combo) for v, n in builder.symbols
+                                    for combo in itertools.permutations(pool, n))]
+    want = [builder.satisfies_membership_characterization(t) for t in candidates]
+    assert sum(want) == 45 + 45 and len(want) == 45 + 324
+    fresh = RepresentationBuilder(TableAlgebra({"a", "b"}))
+    fresh.build_H()
+    for t, ok in zip(candidates, want):
+        head = copy.copy(t.head)
+        assert head == t.head and head is not t.head
+        assert fresh.satisfies_membership_characterization(GroundTerm(head, t.children)) == ok
+    assert all(fresh._kept[v] is v for v, _ in fresh.symbols)
+
+
+class _LeftMeetTab(TableAlgebra):
+    """Tab(G) whose meet of incomparable tables is its left operand, so that
+    the meet does not commute."""
+
+    def meet(self, u, v):
+        return natural_join(u, v) if leq(u, v) or leq(v, u) else u
+
+
+def test_meet_memo_keeps_the_operand_order():
+    # meet-incomparable-zero commutes on Tab(G), whose order is antisymmetric,
+    # so the pinned calls above see the order only where a fold meets two
+    # values in both orders; here every kept pair is met in both orders
+    inst = _LeftMeetTab({"a", "b"})
+    builder = RepresentationBuilder(inst)
+    builder.build_H()
+    kept = list(builder._kept)[:30]
+    pairs = list(itertools.permutations(kept, 2))
+    assert sum(inst.meet(u, v) != inst.meet(v, u) for u, v in pairs) > 100
+    for u, v in pairs:
+        assert builder._meet(u, v) == inst.meet(u, v)
+
+
+def test_a_warm_alpha_pass_hashes_and_compares_no_table_or_transform(monkeypatch):
+    calls = dict.fromkeys(["Table.__hash__", "Table.__eq__",
+                           "FPTransform.__hash__", "FPTransform.__eq__"], 0)
+    for cls in (Table, FPTransform):
+        for name in ("__hash__", "__eq__"):
+            def counted(*args, f=getattr(cls, name), key=f"{cls.__name__}.{name}"):
+                calls[key] += 1
+                return f(*args)
+            monkeypatch.setattr(cls, name, counted)
+    builder = RepresentationBuilder(TableAlgebra({"a", "b"}))
+    builder.build_H()
+    pairs = _pair_tuples(builder.terms)
+    cold = [builder.alpha(t) for t in pairs]
+    assert calls["Table.__hash__"] > 0  # each new result is kept by value
+    calls.update(dict.fromkeys(calls, 0))
+    warm = [builder.alpha(t) for t in pairs]
+    assert calls == dict.fromkeys(calls, 0)
+    assert all(u is v for u, v in zip(warm, cold))
