@@ -30,7 +30,7 @@ from .orbital import (
 )
 from .representation import RepCaps, represent
 from .tables import TableAlgebra
-from .tableio import load_table, table_to_csv, table_to_grid, table_to_json
+from .tableio import json_text, load_table, table_to_csv, table_to_grid, table_to_json
 from .transforms import decompose as decompose_transform
 from .transforms import compose, format_transform, is_folding, is_injective
 from .transforms import is_partial_identity, parse_transform
@@ -159,8 +159,7 @@ def _cmd_eval(args, out) -> int:
     elif args.format == "csv":
         out.write(table_to_csv(result))
     else:
-        json.dump(table_to_json(result), out, indent=2)
-        out.write("\n")
+        out.write(json_text(table_to_json(result)) + "\n")
     return 0
 
 

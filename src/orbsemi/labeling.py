@@ -292,9 +292,15 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
     inst = alpha.inst
     atoms = alpha.atoms
     d12 = inst.diag(1, 2)
-    related = {g: frozenset(h for h in atoms
-                            if inst.leq(alpha(NTuple.trusted(((1, g), (2, h)))), d12))
-               for g in atoms}
+    below = {}  # id of a label -> label <= d12; alpha's cache keeps each label alive
+
+    def is_related(g, h):
+        u = alpha(NTuple.trusted(((1, g), (2, h))))
+        if id(u) not in below:
+            below[id(u)] = inst.leq(u, d12)
+        return below[id(u)]
+
+    related = {g: frozenset(h for h in atoms if is_related(g, h)) for g in atoms}
     members = {}  # class -> its atoms, in atom order
     for a in atoms:
         members.setdefault(related[a], []).append(a)

@@ -6,6 +6,10 @@ JSON: ``{"schema": ["x1", "x2"], "rows": [["a", "b"]]}``; the empty table is
 ``{"schema": "ALL", "rows": []}``.  Each row is a list, and each cell a
 string, number or boolean.  The ground set is the one given, else the atoms
 that the table holds, so a table with no atom needs a given ground set.
+
+Rows are loaded and printed in bulk, by set operations, ``map`` and one ``%``
+template per row over all cells; only a bad row is looked for one row at a
+time.  JSON strings are escaped by the C escaper of ``json``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from .tables import Table, _picker, _table
 from .transforms import parse_var, schema_is_all, var_name
@@ -33,21 +39,44 @@ def table_to_json(T: Table) -> dict:
     }
 
 
+def _json_list(items: list, indent: int) -> str:
+    """The text of a JSON list whose items are the texts ``items``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at ``indent`` spaces."""
+    if not items:
+        return "[]"
+    inner = " " * (indent + 2)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{' ' * indent}]"
+
+
+def json_text(data: dict) -> str:
+    """``json.dumps(data, indent=2)`` of a ``table_to_json`` dict, with every
+    row written through one template of ``%s`` slots."""
+    schema, rows = data["schema"], data["rows"]
+    row = _json_list(["%s"] * len(rows[0]), 4) if rows else ""
+    rows = _json_list([row % tuple(map(encode_basestring_ascii, r)) for r in rows], 2)
+    schema = (encode_basestring_ascii(schema) if schema == "ALL"
+              else _json_list(list(map(encode_basestring_ascii, schema)), 2))
+    return f'{{\n  "schema": {schema},\n  "rows": {rows}\n}}'
+
+
 def _table_from_cells(names: list, cells, ground, what: str) -> Table:
     """The table whose columns are the variables ``names`` and whose rows are
     the lists ``cells``; ``what`` names the column list in error messages."""
     cols = [parse_var(v) for v in names]
     if len(set(cols)) != len(cols):
         raise ValueError(f"{what} {names} names a variable twice")
-    # each row is checked once here: its pairs are its cells picked in sorted
-    # column order, so they are sorted and functional as NTuple requires
+    cells = list(cells)
+    if set(map(len, cells)) - {len(cols)}:
+        bad = next(raw for raw in cells if len(raw) != len(cols))
+        raise ValueError(f"row {bad} does not match {what} {names}")
+    atoms = set(chain.from_iterable(cells))
+    if set(map(type, atoms)) - {str}:  # a JSON number or boolean
+        cells = [list(map(str, raw)) for raw in cells]
+        atoms = set(chain.from_iterable(cells))
+    # a row's pairs are its cells picked in sorted column order, so they are
+    # sorted and functional as NTuple requires
     order, pick = sorted(cols), _picker(sorted(range(len(cols)), key=cols.__getitem__))
-    trusted, rows = NTuple.trusted, set()
-    for raw in cells:
-        if len(raw) != len(cols):
-            raise ValueError(f"row {raw} does not match {what} {names}")
-        rows.add(trusted(zip(order, pick([str(a) for a in raw]))))
-    atoms = {a for r in rows for _, a in r}
+    rows = frozenset(map(NTuple.trusted, map(zip, repeat(order), map(pick, cells))))
     if ground is None:
         if not atoms:
             raise ValueError("a table with no atom needs a ground set")
@@ -69,12 +98,14 @@ def table_from_json(data: dict, ground=None) -> Table:
         raise ValueError(f'schema must be "ALL" or a list of variable names, not {schema!r}')
     if not isinstance(rows, list):
         raise ValueError(f"rows must be a list of rows, not {rows!r}")
-    for row in rows:
-        if not isinstance(row, list):
-            raise ValueError(f"row {row!r} is not a list of cells")
-        for a in row:
-            if not isinstance(a, (str, int, float)):  # bool is an int
-                raise ValueError(f"cell {a!r} in row {row} is not a string, number or boolean")
+    if (set(map(type, rows)) - {list}
+            or set(map(type, chain.from_iterable(rows))) - {str, int, float, bool}):
+        for row in rows:  # name the first bad row or cell; a subclass is fine
+            if not isinstance(row, list):
+                raise ValueError(f"row {row!r} is not a list of cells")
+            for a in row:
+                if not isinstance(a, (str, int, float)):  # bool is an int
+                    raise ValueError(f"cell {a!r} in row {row} is not a string, number or boolean")
     if schema == "ALL":
         if rows:
             raise ValueError("ALL-schema table must have no rows")
@@ -98,7 +129,7 @@ def table_from_csv(text: str, ground=None) -> Table:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty CSV input")
-    rows = reader if not header else (raw for raw in reader if raw)
+    rows = reader if not header else filter(None, reader)
     return _table_from_cells(header, rows, ground, "header")
 
 
@@ -119,10 +150,7 @@ def table_to_grid(T: Table) -> str:
         return "(top table: one empty row)"
     header = [var_name(c) for c in cols]
     body = _cells(T)
-    widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
-              for i, h in enumerate(header)]
-    lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in body:
-        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    widths = [max(map(len, col)) for col in zip(header, *body)]
+    line = " | ".join(f"%-{w}s" for w in widths)
+    return "\n".join([line % tuple(header), "-+-".join("-" * w for w in widths),
+                      *map(line.__mod__, map(tuple, body))])

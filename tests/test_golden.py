@@ -1,10 +1,11 @@
-"""Byte-for-byte regression tests of the CLI's JSON output.
+"""Byte-for-byte regression tests of the CLI's output.
 
 The files under ``tests/golden/`` are the standard output of the listed
 commands.  A change that is meant to keep behaviour (a refactor or a speedup)
 must leave them identical; a change that alters a report on purpose
 regenerates them with ``python3 -m orbsemi.cli <argv> > tests/golden/<file>``.
 The failing replay pins the ``repr`` of counterexample tables byte for byte.
+The ``eval`` goldens read the input tables under ``tests/golden/tables/``.
 """
 
 from pathlib import Path
@@ -14,6 +15,13 @@ import pytest
 from orbsemi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: ``eval`` over a CSV and a JSON table whose atoms need escaping in CSV and
+#: JSON (``"``, ``\\``, ``é``) and whose JSON cells include numbers and booleans
+EVAL_ARGS = ["--tables", str(GOLDEN / "tables" / "R.csv"), str(GOLDEN / "tables" / "S.json"),
+             "--ground", 'a,b,c,q"t,é,1,True,False,2.5,b\\s']
+EVAL_CASES = [("join", "R JOIN S"), ("project", "S.project{x3}"), ("top", "TOP"),
+              ("bottom", "BOTTOM")]
 
 #: (golden file, argv, expected exit code)
 CASES = [
@@ -36,6 +44,10 @@ CASES = [
     ("check_axioms_a_b_diag_top_A10.json",
      ["check-axioms", "--ground", "a,b", "--mutate", "diag-top", "--only", "A10",
       "--format", "json"], 1),
+    *((f"eval_{name}.{ext}", ["eval", expr, *EVAL_ARGS, "--format", fmt], 0)
+      for name, expr in EVAL_CASES
+      for fmt, ext in (("grid", "txt"), ("csv", "csv"), ("json", "json"))
+      if (name, fmt) != ("bottom", "csv")),  # the empty table has no CSV form
 ]
 
 

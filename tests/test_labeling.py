@@ -256,6 +256,27 @@ def test_quotient_names_the_first_failing_pair(case):
     assert (found["term"], found["h"]) == _NON_EQUIVALENCE_AT[case]
 
 
+def test_quotient_tests_each_label_against_the_diagonal_once(monkeypatch):
+    # the nine pairs over three atoms take two label objects, the diagonal for
+    # equal atoms and one other table, so leq(label, d12) runs twice
+    G3 = frozenset({"a", "b", "c"})
+    alg3 = TableAlgebra(G3)
+    d12, other = alg3.diag(1, 2), Table.from_rows(G3, {NTuple.of({1: "a", 2: "b"})})
+
+    def label(t):
+        if t.df == {1, 2}:
+            return d12 if t(1) == t(2) else other
+        return Table.from_rows(G3, {t})
+
+    tested = []
+    leq = alg3.leq
+    monkeypatch.setattr(alg3, "leq", lambda u, v: tested.append(u) or leq(u, v))
+    rep_of, _, reports = quotient(Labeling(G3, alg3, label), QUOTIENT_CFG)
+    assert rep_of == {"a": "a", "b": "b", "c": "c"}
+    assert _quotient_failures(reports) == []
+    assert sorted(map(id, tested)) == sorted([id(d12), id(other)])
+
+
 def test_quotient_rejects_exchange_violation(alg):
     G3 = frozenset({"a", "b", "c"})
     alg3 = TableAlgebra(G3)

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from orbsemi.cli import main
 from orbsemi.tableio import (
+    json_text,
     load_table,
     table_from_csv,
     table_from_json,
@@ -15,7 +16,7 @@ from orbsemi.tableio import (
     table_to_json,
 )
 from orbsemi.tables import Table, all_rows, bottom, top
-from orbsemi.transforms import parse_var
+from orbsemi.transforms import parse_var, schema_is_all
 from orbsemi.tuples import NTuple
 
 G = frozenset({"a", "b"})
@@ -193,10 +194,10 @@ def test_grid_output():
 
 
 @st.composite
-def small_tables(draw):
+def small_tables(draw, atoms=st.sampled_from("abc")):
     """Bottom, top, or any row set of a schema inside {x1,x2,x3} over at most
-    three atoms."""
-    ground = frozenset(draw(st.sets(st.sampled_from("abc"), min_size=1, max_size=3)))
+    three ``atoms``."""
+    ground = frozenset(draw(st.sets(atoms, min_size=1, max_size=3)))
     rows = list(all_rows(ground, draw(st.sets(st.integers(1, 3), max_size=3))))
     keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     return Table.from_rows(ground, [r for r, k in zip(rows, keep) if k])
@@ -225,6 +226,36 @@ def test_writers_match_per_cell_reference(t):
     if t.schema:
         body = table_to_grid(t).splitlines()[2:]
         assert [[cell.strip() for cell in line.split(" | ")] for line in body] == cells
+
+
+def reference_grid(T):
+    """The grid with each cell padded on its own by ``ljust``."""
+    if schema_is_all(T.schema):
+        return "(empty table, schema ALL)"
+    if not T.schema:
+        return "(top table: one empty row)"
+    header = [f"x{c}" for c in sorted(T.schema)]
+    body = reference_cells(T)
+    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(header)]
+    lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths)),
+             "-+-".join("-" * w for w in widths)]
+    for row in body:
+        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+#: atoms that the JSON writer must escape (a quote, a backslash, controls,
+#: non-ASCII and a character outside the BMP) or that a ``%`` template could
+#: misread, besides any short text
+_AWKWARD_ATOMS = st.sampled_from(['q"t', "b\\s", "é", "\n", "\x00", "\u2028", "\U0001f4a1",
+                                  "%s", "%", ""]) | st.text(max_size=3)
+
+
+@given(small_tables(_AWKWARD_ATOMS))
+def test_bulk_writers_match_json_dumps_and_ljust(t):
+    data = table_to_json(t)
+    assert json_text(data) == json.dumps(data, indent=2)
+    assert table_to_grid(t) == reference_grid(t)
 
 
 def reference_table_from_cells(names, cells, ground, what):
