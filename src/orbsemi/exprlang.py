@@ -80,7 +80,7 @@ def Project(expr, Y) -> Act:
 _KEYWORDS = {"JOIN", "DIAG", "TOP", "BOTTOM", "rename", "project"}
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>x\d+)"
+    r"\s*(?:(?P<var>x[1-9]\d*)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<arrow>->)"
     r"|(?P<punct>[(),.{}])"

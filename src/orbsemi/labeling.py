@@ -36,10 +36,9 @@ from .tuples import NTuple, act, atom_key, merge
 
 
 class Labeling:
-    """Evaluation callback plus declared ground set and target instance.
-
-    The callback must be pure; evaluations are memoized.  ``atoms`` is the
-    ground in atom order."""
+    """A view of a pure evaluation callback over a declared ground set and
+    target instance.  It memoizes no evaluation, so a caller whose callback
+    is costly memoizes it.  ``atoms`` is the ground in atom order."""
 
     def __init__(self, ground, inst: OrbitalInstance, func):
         self.ground = frozenset(ground)
@@ -48,15 +47,11 @@ class Labeling:
         self.atoms = sorted(self.ground, key=atom_key)
         self.inst = inst
         self.func = func
-        self._cache = {}
         self._extents = {}  # element -> extent, kept for the embedding laws
         self._candidates = {}  # schema X -> [(t, alpha(t))] for t in G^X, dom alpha(t) = X
 
     def __call__(self, t: NTuple):
-        got = self._cache.get(t)
-        if got is None:
-            got = self._cache[t] = self.func(t)
-        return got
+        return self.func(t)
 
 
 def singleton_labeling(algebra: TableAlgebra) -> Labeling:
@@ -292,13 +287,13 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
     inst = alpha.inst
     atoms = alpha.atoms
     d12 = inst.diag(1, 2)
-    below = {}  # id of a label -> label <= d12; alpha's cache keeps each label alive
+    below = {}  # id of a label -> (label, label <= d12); holding it keeps the id unique
 
     def is_related(g, h):
         u = alpha(NTuple.trusted(((1, g), (2, h))))
         if id(u) not in below:
-            below[id(u)] = inst.leq(u, d12)
-        return below[id(u)]
+            below[id(u)] = u, inst.leq(u, d12)
+        return below[id(u)][1]
 
     related = {g: frozenset(h for h in atoms if is_related(g, h)) for g in atoms}
     members = {}  # class -> its atoms, in atom order
@@ -311,4 +306,4 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
         _run_check(ctx, "quotient-equivalence", _quotient_equivalence, replace(cfg, cases=1)),
         _run_check(ctx, "quotient-exchange", _quotient_exchange, cfg),
     ]
-    return rep_of, Labeling(rep_of.values(), inst, alpha), reports
+    return rep_of, Labeling(rep_of.values(), inst, alpha.func), reports

@@ -170,7 +170,7 @@ class RepresentationBuilder:
     a hit hashes only ints and tuples.  ``kappa`` and ``alpha`` are the free
     ``kappa`` and ``alpha_tilde`` over that memo.
     ``kappa``'s cache holds every prefix of each fold, so base tuples that
-    share a prefix share its meets; the Labelings over ``alpha`` memoize it.
+    share a prefix share its meets; ``alpha`` keeps no memo beyond these.
 
     ``build_H`` keeps H in one list, ``terms``, in term order: the stratum
     H^(k) is the prefix ``terms[:strata_sizes[k]]``.  It gives ``terms[i]``

@@ -72,6 +72,13 @@ def test_eval_usage_errors(capsys):
     ("T1 JOIN  ", "at position 9: expected BOTTOM, DIAG, NAME, TOP, found end of input"),
     # a bad character is placed after the whitespace before it
     ("T1   $", "at position 5: expected token, found '$'"),
+    # a variable is x1, x2, ..., as in table headers: x0 and x01 lex as
+    # names, so they fail where they stand
+    ("DIAG(x01,x2)", "at position 5: expected var, found 'x01'"),
+    ("DIAG(x0,x1)", "at position 5: expected var, found 'x0'"),
+    ("T1.project{x01}", "at position 11: expected }, found 'x01'"),
+    ("T1.project{x0}", "at position 11: expected }, found 'x0'"),
+    ("T1.rename{x1->x01}", "at position 14: expected var, found 'x01'"),
 ])
 def test_eval_parse_error_texts(expression, message, capsys):
     assert main(["eval", expression, "--ground", "a,b"]) == 2

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -275,6 +276,25 @@ def test_quotient_tests_each_label_against_the_diagonal_once(monkeypatch):
     assert rep_of == {"a": "a", "b": "b", "c": "c"}
     assert _quotient_failures(reports) == []
     assert sorted(map(id, tested)) == sorted([id(d12), id(other)])
+
+
+@pytest.mark.parametrize("ground", ["ab", "abc"])
+def test_laws_do_not_depend_on_memoization_or_label_identity(ground):
+    # the singleton labeling builds a fresh table at every call, so no two
+    # labels share an object; over functools.cache each tuple keeps one label
+    alg = TableAlgebra(frozenset(ground))
+    cfg = SampleConfig(cases=60, seed=4)
+    fresh = singleton_labeling(alg)
+    t = NTuple.of({1: "a", 2: "b"})
+    assert fresh(t) == fresh(t) and fresh(t) is not fresh(t)
+
+    def run(alpha):
+        rep_of, alpha_bar, reports = quotient(alpha, cfg)
+        assert alpha_bar.func is alpha.func
+        reports += check_labeling(alpha, "full", cfg) + check_embedding(alpha, cfg)
+        return rep_of, [r.to_json() for r in reports]
+
+    assert run(fresh) == run(Labeling(alg.ground, alg, functools.cache(fresh.func)))
 
 
 def test_quotient_rejects_exchange_violation(alg):
