@@ -32,7 +32,7 @@ from .orbital import (ELEMENT_BUDGET, WITNESS_CAP, CheckReport, OrbitalInstance,
 from .tables import Table, TableAlgebra, _table, all_rows, bottom, natural_join, subsets
 from .tables import act_table, diagonal
 from .transforms import partial_identity, schema_is_all
-from .tuples import NTuple, act, atom_key, merge
+from .tuples import NTuple, act, atom_key
 
 
 class Labeling:
@@ -79,11 +79,19 @@ def extent(alpha: Labeling, u) -> Table:
     return _table(alpha.ground, du, rows) if rows else bottom(alpha.ground)
 
 
+def extension(t: NTuple, missing, combo) -> NTuple:
+    """t extended by ``missing[i]`` ↦ ``combo[i]``, for ``missing`` disjoint
+    from df(t).  No variable can then conflict, so this is the merge of t with
+    the tuple of those pairs, and the sorted pairs need no validation."""
+    return NTuple.trusted(sorted((*t, *zip(missing, combo))))
+
+
 class _Laws:
     """The context of a labeling or embedding law: the labeling, the window,
     the ground in atom order (the L3 witness search ranges over it), the
     atoms that sampled tuples use and the elements, if any, that replace the
-    instance pool."""
+    instance pool.  One context serves one law run, so L3's steering lists,
+    kept per (X, u), last for that run only."""
 
     def __init__(self, alpha: Labeling, cfg: SampleConfig, tuple_atoms, elements):
         self.alpha, self.inst = alpha, alpha.inst
@@ -92,12 +100,23 @@ class _Laws:
         self.t_atoms = self.atoms if tuple_atoms is None else sorted(tuple_atoms, key=atom_key)
         self.elements = elements
         self.capped = 0  # L3 cases whose witness search the cap skipped
+        self._steering = {}  # (X, u) -> the tuples over X whose label lies below u
 
     def ext(self, u) -> Table:
         """extent(alpha, u), computed once per labeling and element."""
         got = self.alpha._extents.get(u)
         if got is None:
             got = self.alpha._extents[u] = extent(self.alpha, u)
+        return got
+
+    def steering(self, X, u) -> list:
+        """The tuples over X, from the tuple atoms, whose label lies below u,
+        in row order; a pure function of (X, u), computed once per law run."""
+        got = self._steering.get((X, u))
+        if got is None:
+            alpha, leq = self.alpha, self.inst.leq
+            got = self._steering[X, u] = [s for s in all_rows(self.t_atoms, X)
+                                          if leq(alpha(s), u)]
         return got
 
     def element_pool(self, cfg: SampleConfig, rng: random.Random) -> list:
@@ -147,8 +166,7 @@ def _l3(ctx, t, v, Y, k):
         X = Y & dv
         if len(ctx.t_atoms) ** len(X) > WITNESS_CAP:
             return None
-        u = inst.act(v, partial_identity(X))
-        below = [s for s in all_rows(ctx.t_atoms, X) if inst.leq(alpha(s), u)]
+        below = ctx.steering(X, inst.act(v, partial_identity(X)))
         if not below:
             return None
         t = below[k % len(below)]
@@ -156,7 +174,7 @@ def _l3(ctx, t, v, Y, k):
     if len(ctx.atoms) ** len(missing) > WITNESS_CAP:
         ctx.capped += 1
         return None
-    found = any(inst.leq(alpha(merge(t, NTuple.of(dict(zip(missing, combo))))), v)
+    found = any(inst.leq(alpha(extension(t, missing, combo)), v)
                 for combo in itertools.product(ctx.atoms, repeat=len(missing)))
     return found, lambda: {"t_used": t}
 
@@ -283,19 +301,27 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
     relation is an equivalence, and ``quotient-exchange`` that alpha keeps its
     value on tuples over the window when each atom becomes its
     representative.  It never raises on a bad labeling.
+
+    Each related set R(g) is one loop over g's row, which labels each pair
+    with ``alpha.func``, the function that the returned labeling shares, and
+    tests each distinct label object against d₁₂ once.
     """
-    inst = alpha.inst
+    inst, func = alpha.inst, alpha.func
     atoms = alpha.atoms
     d12 = inst.diag(1, 2)
     below = {}  # id of a label -> (label, label <= d12); holding it keeps the id unique
-
-    def is_related(g, h):
-        u = alpha(NTuple.trusted(((1, g), (2, h))))
-        if id(u) not in below:
-            below[id(u)] = u, inst.leq(u, d12)
-        return below[id(u)][1]
-
-    related = {g: frozenset(h for h in atoms if is_related(g, h)) for g in atoms}
+    seconds = [(2, h) for h in atoms]
+    related = {}
+    for g in atoms:
+        first, row = (1, g), []
+        for second in seconds:
+            u = func(NTuple.trusted((first, second)))
+            got = below.get(id(u))
+            if got is None:
+                got = below[id(u)] = u, inst.leq(u, d12)
+            if got[1]:
+                row.append(second[1])
+        related[g] = frozenset(row)
     members = {}  # class -> its atoms, in atom order
     for a in atoms:
         members.setdefault(related[a], []).append(a)
@@ -306,4 +332,4 @@ def quotient(alpha: Labeling, cfg: SampleConfig):
         _run_check(ctx, "quotient-equivalence", _quotient_equivalence, replace(cfg, cases=1)),
         _run_check(ctx, "quotient-exchange", _quotient_exchange, cfg),
     ]
-    return rep_of, Labeling(rep_of.values(), inst, alpha.func), reports
+    return rep_of, Labeling(rep_of.values(), inst, func), reports

@@ -14,12 +14,12 @@ import itertools
 import random
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 
-from .labeling import Labeling, check_embedding, check_labeling, quotient
+from .labeling import Labeling, check_embedding, check_labeling, extension, quotient
 from .orbital import ELEMENT_BUDGET, OrbitalInstance, SampleConfig, _run_check
 from .tables import all_rows
 from .transforms import (FPTransform, astrict, compose, partial_identity, restrict,
                          schema_is_all)
-from .tuples import NTuple, atom_key, merge
+from .tuples import NTuple, atom_key
 
 
 class GroundTerm:
@@ -174,9 +174,12 @@ class RepresentationBuilder:
 
     ``build_H`` keeps H in one list, ``terms``, in term order: the stratum
     H^(k) is the prefix ``terms[:strata_sizes[k]]``.  It gives ``terms[i]``
-    the rank i and the closure mask ``_masks[i]``, the int whose set bits are
-    the ranks of its subterms, so ``alpha`` takes a subterm-closed set of
-    terms as one int and builds, sorts and hashes no base tuple."""
+    the rank i, the closure mask ``_masks[i]``, the int whose set bits are
+    the ranks of its subterms, and ``_eta_ranks[i]``, the ranks of its η's
+    terms, so ``alpha`` takes a subterm-closed set of terms as one int and
+    builds, sorts and hashes no base tuple, and a fold step of
+    ``_mask_kappa`` hashes no term.  A hit of ``alpha`` is one lookup in
+    ``_mask_kappa_cache`` and one in ``_ops``, made in ``alpha`` itself."""
 
     def __init__(self, inst: OrbitalInstance, caps: RepCaps | None = None):
         self.inst = inst
@@ -235,11 +238,10 @@ class RepresentationBuilder:
         if (got := self._mask_kappa_cache.get(mask)) is None:
             if mask:
                 r = mask.bit_length() - 1
-                s = self.terms[r]
                 # η(s) is injective: the children of a term of H are distinct
-                lam = tuple(sorted(((mask & ((1 << self._rank[c]) - 1)).bit_count() + 1, x)
-                                   for x, c in enumerate((*s.children, s), start=1)))
-                step = self._act(s.head, lam)  # build_H gave H's terms kept heads
+                lam = tuple(sorted(((mask & ((1 << c) - 1)).bit_count() + 1, x)
+                                   for x, c in enumerate(self._eta_ranks[r], start=1)))
+                step = self._act(self.terms[r].head, lam)  # build_H kept H's heads
                 got = self._meet(self._mask_kappa(mask ^ (1 << r)), step)
             else:
                 got = self._keep(self.inst.one())
@@ -249,14 +251,21 @@ class RepresentationBuilder:
     def alpha(self, t: NTuple):
         """α(t) = κ(b_t)·(b_t⁻¹ ∘ t) for a tuple t over H, with M the union
         of the closure masks of t's terms: t(y) of rank r sits in b_t at one
-        more than the number of ranks in M below r."""
-        ranks = [self._rank[a] for _, a in t.pairs]
-        mask = 0
-        for r in ranks:
-            mask |= self._masks[r]
-        lam = tuple((y, (mask & ((1 << r) - 1)).bit_count() + 1)
-                    for (y, _), r in zip(t.pairs, ranks))
-        return self._act(self._mask_kappa(mask), lam)
+        more than the number of ranks in M below r.  A hit reads both memos
+        itself; ``_mask_kappa`` and ``_act`` run only on a miss."""
+        rank, masks = self._rank, self._masks
+        ranks, mask = [], 0
+        for _, a in t:
+            r = rank[a]
+            ranks.append(r)
+            mask |= masks[r]
+        lam = tuple([(y, (mask & ((1 << r) - 1)).bit_count() + 1)
+                     for (y, _), r in zip(t, ranks)])
+        if (k := self._mask_kappa_cache.get(mask)) is None:
+            k = self._mask_kappa(mask)
+        if (got := self._ops.get((id(k), lam))) is None:
+            got = self._act(k, lam)
+        return got
 
     def eval_via(self, b: NTuple, t: NTuple):
         """kappa(b) · (b^{-1} ∘ t) for a base tuple b whose range covers t's."""
@@ -277,20 +286,22 @@ class RepresentationBuilder:
 
     def build_H(self) -> None:
         """Build H's terms up to ``caps.depth`` in term order into ``terms``,
-        with the rank of each in ``_rank`` and its closure mask in ``_masks``,
-        and ``stratum_truncated``.  ``strata_sizes`` holds the lengths
-        [0, |H^(1)|, ...] of the prefixes of ``terms`` that are the strata
-        H^(0) = ∅ ⊆ H^(1) ⊆ ....  Each stratum adds the new terms over
-        the last that ``admissible`` would accept.  The symbols of each arity
-        n are indexed by v·π_{x1..xn}, so a combination of children costs one
-        alpha and one lookup.  Appending each stratum's new terms in term
-        order keeps ``terms`` in term order: a term admitted at stratum k has
-        depth k, as a child is new at k - 1 (else a cut left no room)."""
+        with the rank of each in ``_rank``, its closure mask in ``_masks``
+        and the ranks of the terms of its η, its children and then itself,
+        in ``_eta_ranks``, and ``stratum_truncated``.  ``strata_sizes``
+        holds the lengths [0, |H^(1)|, ...] of the prefixes of ``terms``
+        that are the strata H^(0) = ∅ ⊆ H^(1) ⊆ ....  Each stratum adds the
+        new terms over the last that ``admissible`` would accept.  The
+        symbols of each arity n are indexed by v·π_{x1..xn}, so a combination
+        of children costs one alpha and one lookup.  Appending each stratum's
+        new terms in term order keeps ``terms`` in term order: a term admitted
+        at stratum k has depth k, as a child is new at k - 1 (else a cut left
+        no room)."""
         heads = {}  # n -> {v·π_{x1..xn}: the symbols v of arity n with it}
         for v, n in self.symbols:
             lhs = self._act(v, tuple((i, i) for i in range(1, n + 1)))
             heads.setdefault(n, {}).setdefault(lhs, []).append(v)
-        self.terms, self._rank, self._masks = [], {}, []
+        self.terms, self._rank, self._masks, self._eta_ranks = [], {}, [], []
         self.strata_sizes, self.stratum_truncated = [0], False
         for _ in range(self.caps.depth):
             admitted = []
@@ -308,10 +319,12 @@ class RepresentationBuilder:
                 self.stratum_truncated = True
             for term in admitted:
                 rank = self._rank[term] = len(self.terms)
+                children = [self._rank[c] for c in term.children]
                 mask = 1 << rank
-                for c in term.children:
-                    mask |= self._masks[self._rank[c]]
+                for c in children:
+                    mask |= self._masks[c]
                 self._masks.append(mask)
+                self._eta_ranks.append((*children, rank))
                 self.terms.append(term)
             self.strata_sizes.append(len(self.terms))
 
@@ -458,14 +471,19 @@ def _rep_extended_eta(ctx, term):
                                     "i_ok": i_ok, "ii_ok": ii_ok}
 
 
+#: the most extensions of one case that ``rep-extension-witness`` searches;
+#: a case whose |H|^(missing variables) exceeds it does not apply
+EXTENSION_CAP = 512
+
+
 def _rep_extension_witness(ctx, tt, Y):
     # alpha(t) = v·pi_{df(t)} must admit an extension with alpha = v exactly
     v = ctx.alpha(tt)
     t, missing = restrict(tt, Y), sorted(tt.df - Y)
-    if len(ctx.terms) ** len(missing) > 512:
+    if len(ctx.terms) ** len(missing) > EXTENSION_CAP:
         return None
     for combo in itertools.product(ctx.terms, repeat=len(missing)):
-        if ctx.alpha(merge(t, NTuple.of(dict(zip(missing, combo))))) == v:
+        if ctx.alpha(extension(t, missing, combo)) == v:
             return True, None
     return False, lambda: {"t": t, "v": v}
 

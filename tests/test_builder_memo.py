@@ -20,9 +20,11 @@ import pytest
 import orbsemi
 from orbsemi.mutants import MUTANTS, make_mutant
 from orbsemi.orbital import SampleConfig
+from orbsemi import labeling
+from orbsemi.labeling import Labeling, quotient
 from orbsemi.representation import (GroundTerm, RepCaps, RepresentationBuilder,
-                                     alpha_tilde, base_tuple_for, harvested_checks, kappa,
-                                     represent)
+                                     alpha_tilde, base_tuple_for, eta, harvested_checks,
+                                     kappa, represent)
 from orbsemi.tables import Table, TableAlgebra, leq, natural_join
 from orbsemi.transforms import FPTransform, astrict, compose, partial_identity
 from orbsemi.tuples import NTuple
@@ -151,6 +153,34 @@ def test_kappa_caches_every_prefix_of_its_fold(mutant_id):
             assert builder._kappa_cache[prefix] == kappa(prefix, inst)
 
 
+@pytest.mark.parametrize("ground, mutant_id, caps", [
+    pytest.param("a", None, RepCaps(depth=4), id="Tab(a)-depth4"),
+    pytest.param("ab", "meet-incomparable-zero", RepCaps(), id="meet-incomparable-zero"),
+])
+def test_quotient_over_the_builder_matches_the_free_reference(monkeypatch, ground,
+                                                              mutant_id, caps):
+    # the related sets are those that quotient-equivalence is given
+    related = []
+    equivalence = labeling._quotient_equivalence
+
+    def seen(ctx, term):
+        if not related or related[-1] is not ctx.related:
+            related.append(ctx.related)
+        return equivalence(ctx, term)
+
+    monkeypatch.setattr(labeling, "_quotient_equivalence", seen)
+    inst = _instance(ground, mutant_id)
+    builder = RepresentationBuilder(inst, caps)
+    builder.build_H()
+    cfg = SampleConfig(seed=0, cases=50)
+    free = Labeling(builder.terms, inst, lambda t: alpha_tilde(t, inst))
+    got, want = (quotient(alpha, cfg)
+                 for alpha in (Labeling(builder.terms, inst, builder.alpha), free))
+    assert len(related) == 2 and related[0] == related[1]
+    assert got[0] == want[0]
+    assert [r.to_json() for r in got[2]] == [r.to_json() for r in want[2]]
+
+
 def _build_H_per_candidate(builder) -> tuple:
     """(strata, stratum_truncated) from the admission loop that tests the
     admission equation v·π_{x1..xn} = α(t) for each (symbol, children) pair,
@@ -219,6 +249,7 @@ def test_build_H_ranks_terms_in_term_order_with_closure_masks(ground, mutant_id,
     for i, term in enumerate(builder.terms):
         assert builder._rank[term] == i
         assert builder._masks[i] == sum(1 << builder._rank[s] for s in term.subterms())
+        assert builder._eta_ranks[i] == tuple(builder._rank[a] for _, a in eta(term))
 
 
 def test_rep_membership_rechecks_with_admissible(monkeypatch):
@@ -312,14 +343,16 @@ for inst, caps in ((TableAlgebra({"a"}), RepCaps(depth=4)),
 #: the counts of ``_CALLS_PROBE``: a change to the builder's or the
 #: labelings' memos must leave the instance's work alone.  A meet memo keyed
 #: on the unordered pair of operands would make fewer meet calls.  The
-#: mutant's ``leq`` is a meet, and ``quotient`` tests each distinct label
-#: against the diagonal once, so the mutant makes 1,756 meets (2,064 when
-#: ``quotient`` tested every atom pair's label)
+#: mutant's ``leq`` is a meet, ``quotient`` tests each distinct label
+#: against the diagonal once, and L3 tests each tuple of a steering list
+#: against v·π_X once per law run, so the mutant makes 1,260 meets (1,756
+#: when L3 rebuilt the list in every case that steers, 2,064 when
+#: ``quotient`` also tested every atom pair's label)
 _INSTANCE_CALLS = [
     {"act": 1464, "meet": 454, "one": 3},
     {"act": 3127, "meet": 997, "one": 3},
     {"act": 2269, "meet": 1016, "one": 3},
-    {"act": 1040, "meet": 1756, "one": 3},
+    {"act": 1040, "meet": 1260, "one": 3},
 ]
 
 #: the benchmark's three embed runs, whose calls are the first three counts

@@ -1,7 +1,9 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbsemi import labeling
 from orbsemi.labeling import (
@@ -11,6 +13,7 @@ from orbsemi.labeling import (
     check_embedding,
     check_labeling,
     check_law,
+    extension,
     extent,
     quotient,
     singleton_labeling,
@@ -20,7 +23,7 @@ from orbsemi.orbital import SampleConfig
 from orbsemi.tables import (Table, TableAlgebra, act_table, all_rows, bottom, enumerate_tables,
                             subsets)
 from orbsemi.transforms import FPTransform, schema_is_all
-from orbsemi.tuples import NTuple
+from orbsemi.tuples import NTuple, merge
 
 G = frozenset({"a", "b"})
 
@@ -352,3 +355,56 @@ def test_embedding_laws_share_the_labelings_extents(alg, monkeypatch):
                         lambda a, u: calls.append(u) or extent(a, u))
     check_embedding(singleton_labeling(alg), SampleConfig(cases=60))
     assert calls and len(calls) == len(set(calls))
+
+
+#: atoms of three types that do not compare with each other, so a sort of the
+#: pairs that ever compared two atoms would raise
+_MIXED_ATOMS = st.sampled_from(["a", 1, frozenset()])
+
+
+@given(st.dictionaries(st.integers(1, 6), _MIXED_ATOMS, max_size=4), st.data())
+def test_extension_is_the_merge_with_the_missing_variables(pairs, data):
+    t = NTuple.of(pairs)
+    missing = data.draw(st.lists(st.integers(1, 8).filter(lambda x: x not in pairs),
+                                 unique=True, max_size=4))
+    combo = data.draw(st.lists(_MIXED_ATOMS, min_size=len(missing), max_size=len(missing)))
+    got = extension(t, missing, combo)
+    assert got == merge(t, NTuple.of(dict(zip(missing, combo))))
+    assert type(got) is NTuple and NTuple(got) == got
+
+
+def test_l3_labels_each_steering_tuple_once_per_law_run(monkeypatch):
+    # the (X, u) whose steering list is being built, else None; the labels
+    # asked for while it is set are the ones that build that list
+    alg3 = TableAlgebra(frozenset("abc"))
+    single = singleton_labeling(alg3).func
+    building, labeled, asked = [None], Counter(), Counter()
+
+    def counted(t):
+        if building[0] is not None:
+            labeled[building[0], t] += 1
+        return single(t)
+
+    steering = labeling._Laws.steering
+
+    def watched(ctx, X, u):
+        asked[X, u] += 1
+        building[0] = X, u
+        try:
+            return steering(ctx, X, u)
+        finally:
+            building[0] = None
+
+    monkeypatch.setattr(labeling._Laws, "steering", watched)
+    alpha = Labeling(alg3.ground, alg3, counted)
+    runs = []
+    for _ in range(2):
+        labeled.clear()
+        asked.clear()
+        report = check_law(alpha, "L3", SampleConfig(cases=200))
+        assert sum(asked.values()) > len(asked)  # some list is asked for again
+        assert set(labeled.values()) == {1}
+        assert len(labeled) == sum(3 ** len(X) for X, _ in asked)
+        runs.append((report.to_json(), sorted(asked.items(), key=repr), len(labeled)))
+    # the second run builds each list again: nothing outlives a law run
+    assert runs[0] == runs[1]
