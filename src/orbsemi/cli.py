@@ -110,11 +110,8 @@ def _sample_config(args) -> SampleConfig:
 
 
 def _exit_for(reports) -> int:
-    if any(not r.passed for r in reports):
-        return 1
-    if any(r.vacuous for r in reports):
-        return 3
-    return 0
+    """1 if a check failed, else 3 if one was vacuous, else 0."""
+    return 1 if any(not r.passed for r in reports) else 3 if any(r.vacuous for r in reports) else 0
 
 
 def _emit_reports(reports, fmt, out):

@@ -111,12 +111,7 @@ def _act_trim_map(base, u, lam):
 
 def _neutral_inflate(base, u, lam):
     """u·π_{dom(u)} blows up to the full table over the schema."""
-    if (
-        u.rows
-        and not schema_is_all(u.schema)
-        and lam == partial_identity(u.schema)
-        and u.schema
-    ):
+    if u.rows and u.schema and lam == partial_identity(u.schema):  # rows: schema not ALL
         return Table.from_rows(base.ground, all_rows(base.ground, u.schema))
     return base.act(u, lam)
 
@@ -155,10 +150,7 @@ def _dom_extra_var(base, u):
     d = base.dom(u)
     if schema_is_all(d):
         return d
-    extra = 1
-    while extra in d:
-        extra += 1
-    return d | {extra}
+    return d | {min(set(range(1, len(d) + 2)) - d)}  # the least variable not in d
 
 
 #: mutant id -> (target axiom, replaced operation, replacement)

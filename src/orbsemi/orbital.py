@@ -525,19 +525,19 @@ DERIVED_IDS = tuple(_DERIVED)
 
 
 def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
-    """Run ``body(ctx, **case)``, where a case draws just the variables that
-    the body's parameters after its context ``ctx`` name.  From the check's
-    own stream it builds only the pools that those variables draw from, in
-    this order: the tuple pool (``ctx.tuple_pool``) for ``t``, the base-tuple
-    pool (``ctx.base_pool``) for ``b``, the element pool
-    (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the transformation
-    pool for ``lam`` or ``mu``; ``term`` and ``tt`` draw from ``ctx.terms``.
-    The check walks the first of its tuple, base-tuple, term and element
-    pools (``tt`` samples, so it walks none), and runs max(``cfg.cases``,
-    walked pool size) cases; one case when the body declares no variable.
-    It stops at the first failure and only then calls ``detail()``.  A
-    counterexample lists the drawn values, then the body's extra fields,
-    then ``case_index``."""
+    """Run ``body(ctx, *case)``, where a case draws, in the order of the
+    body's parameters after its context ``ctx``, just the variables they
+    name.  From the check's own stream it builds only the pools that those
+    variables draw from, in this order: the tuple pool (``ctx.tuple_pool``)
+    for ``t``, the base-tuple pool (``ctx.base_pool``) for ``b``, the element
+    pool (``ctx.element_pool``) for ``u``, ``v`` or ``vs``, and the
+    transformation pool for ``lam`` or ``mu``; ``term`` and ``tt`` draw from
+    ``ctx.terms``.  The check walks the first of its tuple, base-tuple, term
+    and element pools (``tt`` samples, so it walks none), and runs
+    max(``cfg.cases``, walked pool size) cases; one case when the body
+    declares no variable.  It stops at the first failure and only then calls
+    ``detail()`` and names the drawn values: a counterexample lists them,
+    then the body's extra fields, then ``case_index``."""
     code = body.__code__
     names = code.co_varnames[1:code.co_argcount]
     rng = random.Random(cfg.seed)
@@ -547,22 +547,23 @@ def _run_check(ctx, check_id, body, cfg: SampleConfig) -> CheckReport:
     elements = ctx.element_pool(cfg, rng) if {"u", "v", "vs"}.intersection(names) else ()
     transforms = _transform_pool(cfg, rng) if {"lam", "mu"}.intersection(names) else ()
     domains = _domains(rng, cfg.window, elements, transforms, tuples, bases, terms)
-    draws = [(name, domains[name]) for name in names]
+    draws = [domains[name] for name in names]
     walked = tuples or bases or (terms if "term" in names else ()) or elements
     report = CheckReport(check_id=check_id, seed=cfg.seed)
+    applicable = 0
     for i in range(max(cfg.cases, len(walked)) if draws else 1):
-        case = {name: draw(i) for name, draw in draws}
-        report.cases_run += 1
-        outcome = body(ctx, **case)
+        args = [draw(i) for draw in draws]
+        outcome = body(ctx, *args)
         if outcome is None:
             continue
-        report.cases_applicable += 1
+        applicable += 1
         ok, detail = outcome
         if not ok:
             report.passed = False
-            fields = {**case, **detail(), "case_index": i}
+            fields = {**dict(zip(names, args)), **detail(), "case_index": i}
             report.counterexample = {k: _shown(v) for k, v in fields.items()}
             break
+    report.cases_run, report.cases_applicable = i + 1, applicable
     return report
 
 

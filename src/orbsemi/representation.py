@@ -88,12 +88,8 @@ class GroundTerm:
 def arity(inst: OrbitalInstance, v):
     """n if dom(v) = {x1, ..., x_{n+1}}, else None (not a function symbol)."""
     d = inst.dom(v)
-    if schema_is_all(d) or not d:
-        return None
-    n = len(d) - 1
-    if d != frozenset(range(1, n + 2)):
-        return None
-    return n
+    symbol = not schema_is_all(d) and d and d == frozenset(range(1, len(d) + 1))
+    return len(d) - 1 if symbol else None
 
 
 def subterm_closure(terms) -> frozenset:

@@ -9,12 +9,13 @@ Rows are validated where they enter from outside: ``Table(...)`` and
 ``Table.from_rows`` check every row against the schema and the ground set,
 ``tableio`` checks each loaded row's width and atoms once and builds the table
 with ``_table``, and ``exprlang`` checks that every referenced table has the
-expression's ground set.  The results of table operations (join, right
-multiplication, the order test) are built from rows of valid operands by
-column position and are not validated again.  A row is an ``NTuple``, the
-tuple of its pairs, so the operations index rows directly and build each
-result row with the unvalidated ``NTuple.trusted``; the order test probes the
-row set with the plain tuple of the picked pairs, which equals the row.
+expression's ground set.  The results of join and right multiplication,
+built from rows of valid operands by column position, and the enumerated
+tables, whose rows come from ``all_rows``, are not validated again.  A row
+is an ``NTuple``, the tuple of its pairs, so the operations index rows
+directly and build each result row with the unvalidated ``NTuple.trusted``.
+The order test is one subset probe of T2's row set with the picked pairs of
+T1's rows, plain tuples that equal the rows.
 
 Schema-only work is done once.  ``TableAlgebra`` builds ``zero()`` and
 ``one()`` in its constructor and each ``diag(x, y)`` on first use, in a dict
@@ -169,13 +170,10 @@ def _join_plan(s1: frozenset, s2: frozenset):
 def leq(T1: Table, T2: Table) -> bool:
     """Projection-subset order; coincides with T1 ⋈ T2 = T1."""
     _check_same_ground(T1, T2)
-    if not T1.rows:
-        return True
-    if not T2.rows:
-        return False
+    if not (T1.rows and T2.rows):  # the bottom element lies below every element
+        return not T1.rows
     # a row equals the plain tuple of its pairs, so the picked pairs probe T2
-    key, rows = _leq_plan(T1.schema, T2.schema), T2.rows
-    return all(key(r) in rows for r in T1.rows)
+    return T2.rows.issuperset(map(_leq_plan(T1.schema, T2.schema), T1.rows))
 
 
 @_plan_cache
@@ -207,8 +205,7 @@ def _act_plan(schema: frozenset, lam_pairs: tuple):
 def diagonal(x: int, y: int, G) -> Table:
     """The table of tuples over {x, y} with equal values at x and y."""
     G = frozenset(G)
-    rows = {NTuple.of({x: g, y: g}) for g in G}
-    return Table.from_rows(G, rows)
+    return Table.from_rows(G, {NTuple.of({x: g, y: g}) for g in G})
 
 
 def all_rows(G, X):
@@ -220,21 +217,30 @@ def all_rows(G, X):
 
 
 def tables_with_schema(G, X):
-    """All tables with schema exactly X (for X = ∅ only the top element)."""
+    """All tables with schema exactly X over a nonempty G (for X = ∅ only top)."""
+    G, X = frozenset(G), frozenset(X)
     rows = list(all_rows(G, X))
     for k in range(1, len(rows) + 1):
         for combo in itertools.combinations(rows, k):
-            yield Table.from_rows(G, combo)
+            yield _table(G, X, combo)
 
 
 def enumerate_tables(G, schemas):
     """All distinct tables whose schema is one of the given finite var sets,
-    plus the empty table; deterministic order."""
-    out = [bottom(G)]
-    for X in schemas:
-        out.extend(tables_with_schema(G, X))
-    out.sort(key=Table.sort_key)
-    return out
+    plus the empty table, in ``Table.sort_key`` order, ties in the order
+    generated.  Each row is keyed once: a table over X is keyed by X and the
+    sorted ranks of its rows' keys, which order as ``sort_key`` does."""
+    G, T0 = frozenset(G), bottom(G)
+    out = [(T0.sort_key(), T0)]
+    for X in map(frozenset, schemas):
+        keys = {r: r.sort_key() for r in all_rows(G, X)}
+        order = sorted(set(keys.values()))
+        rank = {r: order.index(k) for r, k in keys.items()}
+        head = (0, tuple(sorted(X)))
+        out += [(head + (tuple(sorted(map(rank.__getitem__, T.rows))),), T)
+                for T in tables_with_schema(G, X)]
+    out.sort(key=itemgetter(0))
+    return [T for _, T in out]
 
 
 def subsets(items):

@@ -14,6 +14,7 @@ hashed and compared in C; a transformation is a frozen dataclass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -143,8 +144,15 @@ is_injective = PartialMap.is_injective
 
 
 def partial_identity(X: Iterable[int]) -> FPTransform:
-    """The identity restricted to the finite variable set X."""
-    return FPTransform(tuple((x, x) for x in sorted(set(X))))
+    """The identity restricted to the finite variable set X, one value per
+    distinct set (see ``_partial_identity``)."""
+    return _partial_identity(frozenset(X))
+
+
+@functools.lru_cache(maxsize=1024)
+def _partial_identity(X: frozenset) -> FPTransform:
+    # a bounded cache; a set's first build is validated, a failed one not kept
+    return FPTransform(tuple((x, x) for x in sorted(X)))
 
 
 def compose(mu: PartialMap, lam: FPTransform) -> PartialMap:

@@ -352,8 +352,12 @@ def test_bad_subcommand_usage(capsys):
 @pytest.mark.parametrize("argv", [
     ["check-labeling", "--ground", "a,b", "--format", "json"],
     ["check-axioms", "--ground", "a,b", "--cases", "100", "--format", "json"],
+    # the element pool's exhaustive core, keyed and sorted in enumerate_tables
+    *([cmd, "--ground", "a,b,c", "--cases", "100", "--format", "json"]
+      for cmd in ("check-axioms", "check-props")),
     *(["eval", "R JOIN S", *EVAL_ARGS, "--format", fmt] for fmt in ("grid", "csv", "json")),
-], ids=["check-labeling", "check-axioms", "eval-grid", "eval-csv", "eval-json"])
+], ids=["check-labeling", "check-axioms", "check-axioms-abc", "check-props-abc",
+        "eval-grid", "eval-csv", "eval-json"])
 def test_reports_do_not_depend_on_the_hash_seed(argv):
     # rows hash as the tuples of their pairs, so the order of a table's rows
     # in a frozenset moves with the hash seed; the reports must not

@@ -103,6 +103,26 @@ def test_detail_only_built_on_failure():
     assert report.counterexample == {"term": 50, "n": 50, "case_index": 50}
 
 
+def test_a_body_receives_its_variables_in_the_order_it_declares():
+    # window is a list, term a number and Y a set of variables, in either order
+    def forward(ctx, window, term, Y):
+        assert (type(window), type(term), type(Y)) == (list, int, frozenset)
+        return term != 2, lambda: {"n": term}
+
+    def backward(ctx, Y, term, window):
+        assert (type(window), type(term), type(Y)) == (list, int, frozenset)
+        return term != 2, lambda: {"n": term}
+
+    for body, names in ((forward, ["window", "term", "Y"]),
+                        (backward, ["Y", "term", "window"])):
+        report = _run(_context(5), body)
+        cex = report.counterexample
+        assert list(cex) == [*names, "n", "case_index"]
+        assert (cex["window"], cex["term"], cex["n"], cex["case_index"]) == ([1, 2, 3], 2, 2, 2)
+        assert set(cex["Y"]) <= {1, 2, 3} and cex["Y"] == sorted(cex["Y"])
+        assert (report.cases_run, report.cases_applicable) == (3, 3)
+
+
 def test_passing_checks_build_no_counterexample_text(monkeypatch):
     # every family on Tab(G) passes, so no value may be rendered
     def no_repr(self):

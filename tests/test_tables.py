@@ -12,6 +12,7 @@ from orbsemi.tables import (
     leq,
     natural_join,
     subsets,
+    tables_with_schema,
     top,
 )
 from orbsemi.transforms import (
@@ -147,6 +148,38 @@ def test_diagonal():
 def test_ground_mismatch():
     with pytest.raises(ValueError):
         natural_join(T({1: "a"}), Table.from_rows({"a"}, {NTuple.of({1: "a"})}))
+
+
+@st.composite
+def tables_up_to_width_3(draw):
+    """A table over 0 to 3 of the variables x1 .. x4: top or bottom at
+    width 0, bottom when no row is kept."""
+    rows = list(all_rows(G, draw(st.sets(st.integers(1, 4), max_size=3))))
+    keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return Table.from_rows(G, [r for r, k in zip(rows, keep) if k])
+
+
+@given(tables_up_to_width_3(), tables_up_to_width_3())
+def test_leq_is_join_idempotence_on_tables_up_to_width_3(T1, T2):
+    # one shared variable exercises the one-position picker
+    assert leq(T1, T2) == (natural_join(T1, T2) == T1)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("ground", [{"a", "b", "c"}, {"b", "10", "9"}, {1, "1", 2}],
+                         ids=["abc", "numeric-strings", "tied-keys"])
+def test_enumerate_tables_is_the_sorted_reference(ground, window):
+    schemas = [X for X in subsets(range(1, window + 1)) if len(X) <= 2]
+    got = enumerate_tables(ground, schemas)
+    reference = sorted([bottom(ground), *(Tb for X in schemas
+                                          for Tb in tables_with_schema(ground, X))],
+                       key=Table.sort_key)
+    assert got == reference  # the same tables in the same order
+    for Tb in got:  # built without validation, yet valid
+        assert Table(Tb.ground, Tb.schema, Tb.rows) == Tb
+    # 1 and "1" have the same atom key: tied tables keep the order generated
+    ties = sum(a.sort_key() == b.sort_key() for a, b in zip(got, got[1:]))
+    assert bool(ties) == (ground == {1, "1", 2})
 
 
 def test_enumerate_tables_deterministic():

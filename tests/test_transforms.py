@@ -163,3 +163,17 @@ def sweep_count():
 
 def test_window_four_transform_count():
     assert len(list(all_transforms(range(1, 5), range(1, 5)))) == 625
+
+
+def test_partial_identity_is_one_value_per_variable_set():
+    from_list = partial_identity([3, 1, 3])
+    assert from_list == partial_identity({1, 3}) == partial_identity(frozenset({3, 1}))
+    assert from_list == FPTransform(((1, 1), (3, 3)))
+    assert partial_identity(iter([1, 3])) is from_list
+    assert partial_identity([]) == EMPTY
+
+
+def test_partial_identity_rejects_a_bad_variable_on_every_call():
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError):
+            partial_identity([0])
